@@ -1,9 +1,8 @@
 """Perf-5: join strategies for the Stations ⋈ Observations step.
 
-Sweeps 1:N workloads over hash, nested-loop, and index-probe strategies.
-The shape claim: nested-loop is quadratic and loses by orders of magnitude
-as inputs grow; the hash build and the pre-built index probe stay near-linear
-and converge.
+Sweeps 1:N workloads over the hash and nested-loop strategies.  The shape
+claim: nested-loop is quadratic and loses by orders of magnitude as inputs
+grow; the hash build stays near-linear.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.dataflow.engine import Engine
 from repro.dataflow.graph import Program
 from repro.dbms.algebra import join_hash, join_nested_loop
 from repro.dbms.catalog import Database
-from repro.dbms.index import HashIndex, indexed_equi_join
 from repro.dbms.plan_parallel import result_cache
 
 SIZES = {
@@ -34,44 +32,34 @@ def workload(name: str):
     if name not in _CACHE:
         left_count, per_left = SIZES[name]
         left, right = build_pairs_tables(left_count, per_left, seed=5)
-        _CACHE[name] = (left.snapshot(), right.snapshot(), HashIndex(right, "ref"))
+        _CACHE[name] = (left.snapshot(), right.snapshot())
     return _CACHE[name]
 
 
 @pytest.mark.parametrize("size", list(SIZES))
 def test_perf_join_hash(benchmark, size):
-    left, right, __ = workload(size)
+    left, right = workload(size)
     result = benchmark(join_hash, left, right, "key", "ref")
     assert len(result) == len(right)  # every right row matches exactly once
 
 
 @pytest.mark.parametrize("size", list(SIZES))
 def test_perf_join_nested_loop(benchmark, size):
-    left, right, __ = workload(size)
+    left, right = workload(size)
     result = benchmark(join_nested_loop, left, right, "key", "ref")
     assert len(result) == len(right)
 
 
-@pytest.mark.parametrize("size", list(SIZES))
-def test_perf_join_index_probe(benchmark, size):
-    left, right, index = workload(size)
-    pairs = benchmark(indexed_equi_join, left, index, "key")
-    assert len(pairs) == len(right)
-
-
 def test_perf_join_strategies_agree(benchmark):
-    """All strategies compute the same join (asserted on the medium size)."""
-    left, right, index = workload("medium")
+    """Both strategies compute the same join (asserted on the medium size)."""
+    left, right = workload("medium")
 
-    def all_three():
-        h = join_hash(left, right, "key", "ref")
-        n = join_nested_loop(left, right, "key", "ref")
-        p = indexed_equi_join(left, index, "key")
-        return h, n, p
+    def both():
+        return (join_hash(left, right, "key", "ref"),
+                join_nested_loop(left, right, "key", "ref"))
 
-    h, n, p = benchmark(all_three)
+    h, n = benchmark(both)
     assert sorted(map(repr, h)) == sorted(map(repr, n))
-    assert len(p) == len(h)
 
 
 # ---------------------------------------------------------------------------

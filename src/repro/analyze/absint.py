@@ -39,13 +39,12 @@ The same machinery powers:
 * guard elision in :func:`repro.dbms.expr_compile.compile_expression`
   (``hazards=`` parameter), surfaced as ``proof=`` in EXPLAIN and counted
   in ``absint.proofs`` / ``absint.guards_elided``;
-* the ``T2-W204``/``T2-W205`` rewrites (always-true/false Restrict
-  elimination, statically-empty-subtree pruning) applied by
-  :func:`repro.dbms.plan_rewrite.optimize_plan` and re-certified by the
-  plan verifier;
 * :func:`check_program_deep` — whole-program propagation along the wires
   (``repro lint --deep``), reusing the per-box transfer registry for
-  schemas and emitting ``T2-I301`` proof notes with source positions.
+  schemas, reporting dead predicates (``T2-W204``) and statically empty
+  results (``T2-W205``), and emitting ``T2-I301`` proof notes with source
+  positions.  These are diagnostics only: plans are never rewritten from
+  them, so EXPLAIN is identical with the interpreter on or off.
 
 Enable with ``REPRO_ABSINT=1`` or :func:`set_absint_enabled`; everything
 here is advisory — with the interpreter off, compiled kernels keep their
@@ -82,7 +81,6 @@ __all__ = [
     "PROOFS_COUNTER",
     "abstract_eval",
     "absint_enabled",
-    "absint_rewrite_plan",
     "analyze_hazards",
     "check_program_deep",
     "env_from_stats",
@@ -945,118 +943,6 @@ def install_from_env(environ: Mapping[str, str] | None = None) -> bool:
         set_absint_enabled(True)
         return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# Certified rewrites: dead predicates and statically empty subtrees
-# ---------------------------------------------------------------------------
-
-
-def _predicate_truth(node: P.RestrictNode) -> bool | None:
-    """The constant truth value of a Restrict's predicate, if provable."""
-    env = plan_column_facts(node.children[0])
-    verdict = abstract_eval(node.predicate, env, node.children[0].schema)
-    if verdict.is_const and isinstance(verdict.const, bool):
-        return verdict.const
-    return None
-
-
-def _empty_scan(schema: Schema) -> P.ScanNode:
-    return P.ScanNode(RowSet(schema, ()), name="empty")
-
-
-def _is_statically_empty(node: P.PlanNode) -> bool:
-    return (
-        isinstance(node, P.ScanNode)
-        and isinstance(getattr(node, "_source", None), RowSet)
-        and not isinstance(node._source, P.LazyRowSet)
-        and len(node._source) == 0
-    )
-
-
-#: Ops through which emptiness propagates (empty input => empty output).
-_EMPTY_CLOSED = (
-    P.ProjectNode, P.RenameNode, P.RestrictNode, P.OrderByNode,
-    P.DistinctNode, P.LimitNode, P.SampleNode,
-)
-_EMPTY_JOINS = (
-    P.CrossProductNode, P.NestedLoopJoinNode, P.HashJoinNode,
-    P.ThetaJoinNode,
-)
-
-
-def absint_rewrite_plan(
-    root: P.PlanNode, log: list[str] | None = None
-) -> tuple[P.PlanNode, list[str]]:
-    """Apply the abstract-interpretation rewrites to a plan.
-
-    * an always-**true** Restrict is removed (``T2-W204``);
-    * an always-**false** Restrict becomes an empty scan (``T2-W204`` +
-      ``T2-W205``), and emptiness is then propagated upward through
-      every operator that cannot manufacture tuples from nothing.
-
-    Runs inside :func:`repro.dbms.plan_rewrite.optimize_plan` (when the
-    interpreter is enabled) *before* parallelization/columnarization, and
-    the optimizer's existing schema check + plan verifier re-certify the
-    rewritten tree."""
-    log = log if log is not None else []
-
-    def walk(node: P.PlanNode) -> P.PlanNode:
-        # Leaves end the recursion; compiled regions (columnar kernels,
-        # parallel operators) hold internal templates besides ``children``
-        # and are left untouched — this pass runs before those rewrites.
-        if isinstance(node, (P.ScanNode, P.CacheNode)) or \
-                node.backend != "row" or \
-                type(node).__name__.startswith("Parallel"):
-            return node
-        node._children = tuple(walk(child) for child in node.children)
-
-        if isinstance(node, P.RestrictNode):
-            truth = _predicate_truth(node)
-            if truth is True:
-                log.append(
-                    f"absint: removed always-true restrict "
-                    f"({node.predicate}) [T2-W204]"
-                )
-                return node.children[0]
-            if truth is False:
-                log.append(
-                    f"absint: restrict ({node.predicate}) is always false; "
-                    f"replaced subtree with an empty scan [T2-W204, T2-W205]"
-                )
-                return _empty_scan(node.schema)
-
-        children_empty = [
-            _is_statically_empty(child) for child in node.children
-        ]
-        if isinstance(node, P.UnionNode):
-            if all(children_empty):
-                log.append("absint: pruned empty union [T2-W205]")
-                return _empty_scan(node.schema)
-            if any(children_empty):
-                keep = node.children[0 if children_empty[1] else 1]
-                if keep.schema == node.schema:
-                    log.append(
-                        "absint: dropped statically-empty union arm "
-                        "[T2-W205]"
-                    )
-                    return keep
-        elif isinstance(node, _EMPTY_JOINS):
-            if any(children_empty):
-                log.append(
-                    f"absint: pruned {type(node).__name__} over a "
-                    f"statically-empty input [T2-W205]"
-                )
-                return _empty_scan(node.schema)
-        elif isinstance(node, _EMPTY_CLOSED) and children_empty[0]:
-            log.append(
-                f"absint: pruned {type(node).__name__} over a "
-                f"statically-empty input [T2-W205]"
-            )
-            return _empty_scan(node.schema)
-        return node
-
-    return walk(root), log
 
 
 # ---------------------------------------------------------------------------

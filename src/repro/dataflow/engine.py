@@ -24,8 +24,12 @@ from repro.dataflow.box import Box
 from repro.dataflow.graph import Program
 from repro.dbms.catalog import Database
 from repro.dbms.columnar import ColumnarConfig, resolve_columnar_config
-from repro.dbms.plan import LazyRowSet
-from repro.dbms.plan_parallel import resolve_config
+from repro.dbms.plan import LazyRowSet, PlanNode
+from repro.dbms.plan_parallel import (
+    ParallelConfig,
+    execute_plan,
+    resolve_config,
+)
 from repro.display.displayable import Composite, DisplayableRelation, Group
 from repro.errors import GraphError, StaticAnalysisError, TiogaError
 from repro.obs.lineage import (
@@ -39,25 +43,64 @@ from repro.obs.trace import current_tracer
 __all__ = ["FireContext", "EngineStats", "Engine"]
 
 
-def _force_value(value: Any) -> Any:
+def _force_value(
+    value: Any,
+    parallel: ParallelConfig | None,
+    columnar: ColumnarConfig | None,
+) -> Any:
     """Materialize any lazily-streamed row sets inside a demanded value.
 
     Boxes emit plan fragments wrapped in :class:`LazyRowSet`; demand is the
     materialization boundary, so data-dependent evaluation errors surface
     here — from ``output_of``/``evaluate_all`` — exactly where they surfaced
-    when boxes materialized eagerly.
+    when boxes materialized eagerly.  With no parallel or columnar config a
+    lazy set is forced as built; otherwise it runs through
+    :func:`_force_lazy`.
     """
     if isinstance(value, LazyRowSet):
-        value.force()
+        if parallel is None and columnar is None:
+            value.force()
+        else:
+            _force_lazy(value, parallel, columnar)
     elif isinstance(value, DisplayableRelation):
-        _force_value(value.rows)
+        _force_value(value.rows, parallel, columnar)
     elif isinstance(value, Composite):
         for entry in value.entries:
-            _force_value(entry.relation)
+            _force_value(entry.relation, parallel, columnar)
     elif isinstance(value, Group):
         for __, member in value.members:
-            _force_value(member)
+            _force_value(member, parallel, columnar)
     return value
+
+
+def _force_lazy(
+    lazy: LazyRowSet,
+    parallel: ParallelConfig | None,
+    columnar: ColumnarConfig | None,
+) -> None:
+    """Materialize one lazy row set through :func:`execute_plan`.
+
+    A cache hit is adopted (the plan never runs) and the optimized plan
+    replaces the original before forcing, so EXPLAIN shows what ran; the
+    hit/miss lands in ``lazy.cache_status``.  A plan that has already
+    started streaming (a downstream consumer pulled through a CacheNode
+    first) is forced as is: rewriting or adopting into a half-filled shared
+    buffer would corrupt other consumers.
+    """
+    if lazy.has_started:
+        lazy.force()
+        return
+
+    def run(root: PlanNode) -> tuple:
+        if root is not lazy.plan:
+            lazy.replace_plan(root)
+        return lazy.force()
+
+    rows, __, status = execute_plan(lazy.plan, run, parallel, columnar)
+    if status == "hit":
+        lazy.adopt(rows)
+    if status is not None:
+        lazy.cache_status = status
 
 
 class FireContext:
@@ -225,15 +268,8 @@ class Engine:
         """Materialize a demanded value, honoring the execution config."""
         if self.lineage is not None:
             with lineage_capture(self.lineage):
-                return self._force_configured(value)
-        return self._force_configured(value)
-
-    def _force_configured(self, value: Any) -> Any:
-        if self.parallel is None and self.columnar is None:
-            return _force_value(value)
-        from repro.dataflow.parallel import prepare_value
-
-        return prepare_value(value, self.parallel, columnar=self.columnar)
+                return _force_value(value, self.parallel, self.columnar)
+        return _force_value(value, self.parallel, self.columnar)
 
     # ------------------------------------------------------------------
 

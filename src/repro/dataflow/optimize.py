@@ -25,13 +25,52 @@ from repro.dataflow.graph import Program
 from repro.dataflow.serialize import clone_program
 from repro.dbms.algebra import _joined_schema
 from repro.dbms.catalog import Database
-from repro.dbms.expr import Expr
+from repro.dbms.expr import (
+    Binary,
+    Call,
+    Conditional,
+    Expr,
+    FieldRef,
+    Literal,
+    Unary,
+)
 from repro.dbms.parser import parse_expression
-from repro.dbms.plan_rewrite import rename_fields, split_conjuncts
 from repro.dbms.tuples import Schema
 from repro.errors import TiogaError
 
 __all__ = ["optimize", "stored_schema_of", "rename_fields"]
+
+
+def split_conjuncts(expr: Expr) -> list[Expr]:
+    """Flatten top-level ``and`` into its conjuncts."""
+    if isinstance(expr, Binary) and expr.op == "and":
+        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
+    return [expr]
+
+
+def rename_fields(expr: Expr, mapping: dict[str, str]) -> Expr:
+    """Rebuild an expression with field references renamed."""
+    if isinstance(expr, FieldRef):
+        return FieldRef(mapping.get(expr.name, expr.name))
+    if isinstance(expr, Literal):
+        return expr
+    if isinstance(expr, Unary):
+        return Unary(expr.op, rename_fields(expr.operand, mapping))
+    if isinstance(expr, Binary):
+        return Binary(
+            expr.op,
+            rename_fields(expr.left, mapping),
+            rename_fields(expr.right, mapping),
+        )
+    if isinstance(expr, Conditional):
+        return Conditional(
+            rename_fields(expr.condition, mapping),
+            rename_fields(expr.then_branch, mapping),
+            rename_fields(expr.else_branch, mapping),
+        )
+    if isinstance(expr, Call):
+        return Call(expr.fn.name, [rename_fields(a, mapping) for a in expr.args])
+    raise TiogaError(f"cannot rewrite expression node {type(expr).__name__}")
 
 # Boxes a Restrict may cross when the predicate's fields are untouched:
 # they keep rows 1:1 (decorators) or commute with filtering.
@@ -246,9 +285,6 @@ def _push_past_decorator(
     return False
 
 
-_conjuncts = split_conjuncts
-
-
 def _push_below_join(
     program: Program, database: Database, log: list[str]
 ) -> bool:
@@ -293,7 +329,7 @@ def _push_below_join(
         left_parts: list[Expr] = []
         right_parts: list[Expr] = []
         blocked = False
-        for conjunct in _conjuncts(predicate):
+        for conjunct in split_conjuncts(predicate):
             fields = conjunct.fields_used()
             if fields <= left_only:
                 left_parts.append(conjunct)

@@ -1,7 +1,7 @@
 """Object-relational DBMS substrate (the POSTGRES stand-in).
 
 Typed schemas and tuples, an expression language with a parser, stored tables
-with computed-attribute methods, relational algebra, indexes, a catalog of
+with computed-attribute methods, relational algebra, a catalog of
 tables/boxes/programs, JSON persistence, and the Section-8 update machinery.
 """
 
@@ -33,7 +33,6 @@ from repro.dbms.expr import (
     Unary,
     register_function,
 )
-from repro.dbms.index import HashIndex, SortedIndex
 from repro.dbms.parser import parse_expression, parse_predicate
 from repro.dbms.relation import Method, MethodSet, RowSet, Table, VirtualRow
 from repro.dbms.storage import (
@@ -70,7 +69,6 @@ __all__ = [
     "FieldRef",
     "FLOAT",
     "FunctionDef",
-    "HashIndex",
     "INT",
     "Literal",
     "Method",
@@ -78,7 +76,6 @@ __all__ = [
     "RowSet",
     "Schema",
     "ScriptedDialog",
-    "SortedIndex",
     "TEXT",
     "Table",
     "Tuple",

@@ -24,6 +24,11 @@ loop re-runs queries on every gesture):
   mutating one table only invalidates the entries that actually read it;
   otherwise the global epoch invalidates on any update.
 
+:func:`execute_plan` is where the two meet: every plan the engine forces
+or the viewer culls under an active config goes through its cache probe,
+backend selection (:func:`repro.dbms.plan_rewrite.optimize_plan`) and
+cache store.
+
 Fingerprints identify leaves by source-object identity.  That is sound
 because cache entries *pin* strong references to their sources (no id
 reuse while the entry lives), and productive because ``Table.snapshot()``
@@ -83,6 +88,7 @@ from repro.dbms.plan import (
     plan_annotator,
     _lineage_store,
 )
+from repro.dbms.plan_rewrite import optimize_plan
 from repro.dbms.relation import RowSet, storage_epoch, table_epoch, table_epochs
 from repro.dbms.tuples import Tuple
 from repro.obs.lineage import active_lineage
@@ -103,6 +109,7 @@ __all__ = [
     "plan_read_set",
     "ResultCache",
     "result_cache",
+    "execute_plan",
     "storage_epoch",
 ]
 
@@ -510,6 +517,48 @@ def result_cache() -> ResultCache:
             if _RESULT_CACHE is None:
                 _RESULT_CACHE = ResultCache()
     return _RESULT_CACHE
+
+
+def execute_plan(
+    plan: PlanNode,
+    run: Callable[[PlanNode], Sequence[Tuple]],
+    config: ParallelConfig | None,
+    columnar: ColumnarConfig | None = None,
+    meta: Callable[[], Any] | None = None,
+) -> tuple[Sequence[Tuple], Any, str | None]:
+    """Run one not-yet-started plan through the result cache and backend
+    selection; returns ``(rows, meta, status)``.
+
+    With caching on and a fingerprintable plan, a fresh cache entry is
+    returned as ``(rows, stored meta, "hit")`` without running anything.
+    Otherwise the epoch stamp is read *before* execution — per table when
+    the read set is known, the global epoch when not — the plan goes
+    through :func:`~repro.dbms.plan_rewrite.optimize_plan`, ``run``
+    executes the optimized root, and the rows are stored with ``meta()``
+    (evaluated after the run); status is "miss", or None when the result
+    was not cacheable.  Fingerprints are taken on the pre-rewrite plan and
+    the rewrites are backend-transparent, so row, columnar, and parallel
+    executions of one logical plan share entries.
+    """
+    key = None
+    if config is not None and config.cache:
+        fingerprint = plan_fingerprint(plan)
+        if fingerprint is not None:
+            key, pins = fingerprint
+            cached = result_cache().lookup(key)
+            if cached is not None:
+                rows, stored_meta = cached
+                return rows, stored_meta, "hit"
+            tables = plan_read_set(plan)
+            epoch = (table_epochs(tables) if tables is not None
+                     else storage_epoch())
+    root, __ = optimize_plan(plan, parallel=config, columnar=columnar)
+    rows = run(root)
+    if key is None:
+        return rows, None, None
+    result_cache().store(key, rows, pins, epoch,
+                         meta=None if meta is None else meta())
+    return rows, None, "miss"
 
 
 # ---------------------------------------------------------------------------

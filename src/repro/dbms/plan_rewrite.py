@@ -1,42 +1,25 @@
-"""Plan-IR rewrites: restrict merging and pushdown over physical plans.
+"""Backend selection for physical plans.
 
-The graph-level optimizer (:mod:`repro.dataflow.optimize`) restructures
-boxes-and-arrows programs; this module applies the same two rewrite families
-*inside* a physical plan, where synthesized operators (viewer culling
-restricts, box-emitted fragments) live below the granularity of a box:
+:func:`optimize_plan` is the one entry through which every plan that runs
+under a parallel or columnar config is prepared
+(:func:`repro.dbms.plan_parallel.execute_plan` calls it for engine demand
+and viewer culling alike).  It only picks backends — it never changes
+which operators run or what they compute:
 
-* **Restrict merging** — adjacent Restrict nodes collapse into one
-  conjunction (one pass over the data instead of two).
-* **Restrict pushdown** — a Restrict moves below operators that keep row
-  values intact and commute with filtering: Rename (with the predicate's
-  field references mapped back to the old name), Project, OrderBy, and
-  Distinct.
+* **Parallelize** — :func:`repro.dbms.plan_parallel.parallelize_plan`
+  wraps morsel-friendly subtrees in parallel operators.
+* **Columnarize** — :func:`columnarize_plan` swaps profitable subtrees onto
+  the vectorized backend behind ToColumns/ToRows adapters.
 
-Pushdown is deliberately *blocked* by Union and GroupBy (a predicate over
-the output schema is not a predicate over the inputs), by Sample (filtering
-first changes the per-row RNG alignment), by Limit (head-N does not commute
-with filtering), by joins (the graph-level join rule handles those), and by
-Cache/Scan leaves (a cache is a shared memoization boundary — filtering
-what gets cached would change what other consumers observe).
-
-Both rewrite families share their expression helpers
-(:func:`split_conjuncts`, :func:`conjoin`, :func:`rename_fields`) with the
-graph-level optimizer, which imports them from here.
+Output rows, order, schemas and EXPLAIN counters are identical on every
+backend.  Restrict merging and pushdown are program-level rewrites the
+user sees and can undo (``Session.optimize`` →
+:mod:`repro.dataflow.optimize`); dead-predicate and empty-result findings
+(``T2-W204``/``T2-W205``) are ``repro lint --deep`` diagnostics only.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.dbms.expr import (
-    Binary,
-    Call,
-    Conditional,
-    Expr,
-    FieldRef,
-    Literal,
-    Unary,
-)
 from repro.dbms.columnar import NUMPY_DTYPES, ColumnarConfig
 from repro.dbms.expr_compile import compile_predicate
 from repro.dbms.plan import (
@@ -60,78 +43,26 @@ from repro.dbms.plan import (
     ScanNode,
     ToColumnsNode,
     ToRowsNode,
-    plan_annotator,
     plan_verifier,
 )
 from repro.errors import StaticAnalysisError, TiogaError
 
-__all__ = [
-    "split_conjuncts",
-    "conjoin",
-    "rename_fields",
-    "optimize_plan",
-    "columnarize_plan",
-]
-
-
-def split_conjuncts(expr: Expr) -> list[Expr]:
-    """Flatten top-level ``and`` into its conjuncts."""
-    if isinstance(expr, Binary) and expr.op == "and":
-        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
-    return [expr]
-
-
-def conjoin(parts: Sequence[Expr]) -> Expr:
-    """Left-associative conjunction of one or more boolean expressions."""
-    if not parts:
-        raise TiogaError("cannot conjoin zero predicates")
-    result = parts[0]
-    for part in parts[1:]:
-        result = Binary("and", result, part)
-    return result
-
-
-def rename_fields(expr: Expr, mapping: dict[str, str]) -> Expr:
-    """Rebuild an expression with field references renamed."""
-    if isinstance(expr, FieldRef):
-        return FieldRef(mapping.get(expr.name, expr.name))
-    if isinstance(expr, Literal):
-        return expr
-    if isinstance(expr, Unary):
-        return Unary(expr.op, rename_fields(expr.operand, mapping))
-    if isinstance(expr, Binary):
-        return Binary(
-            expr.op,
-            rename_fields(expr.left, mapping),
-            rename_fields(expr.right, mapping),
-        )
-    if isinstance(expr, Conditional):
-        return Conditional(
-            rename_fields(expr.condition, mapping),
-            rename_fields(expr.then_branch, mapping),
-            rename_fields(expr.else_branch, mapping),
-        )
-    if isinstance(expr, Call):
-        return Call(expr.fn.name, [rename_fields(a, mapping) for a in expr.args])
-    raise TiogaError(f"cannot rewrite expression node {type(expr).__name__}")
+__all__ = ["optimize_plan", "columnarize_plan"]
 
 
 def optimize_plan(
     root: PlanNode, log: list[str] | None = None, *, parallel=None,
     columnar: ColumnarConfig | None = None,
 ) -> tuple[PlanNode, list[str]]:
-    """Apply plan rewrites until fixpoint; returns (new root, rewrite log).
+    """Select execution backends for a plan; returns (new root, log).
 
-    Rewrites rebuild nodes (constructors re-validate), so only apply this to
-    plans that have not started executing — rebuilt nodes carry fresh stats.
-
-    When ``parallel`` (a :class:`repro.dbms.plan_parallel.ParallelConfig`)
-    is given and enables multiple workers, a parallelize pass wraps
-    morsel-friendly subtrees in parallel operators; when ``columnar`` (a
+    Only apply this to plans that have not started executing.  When
+    ``parallel`` (a :class:`repro.dbms.plan_parallel.ParallelConfig`)
+    enables multiple workers, a parallelize pass wraps morsel-friendly
+    subtrees in parallel operators; when ``columnar`` (a
     :class:`repro.dbms.columnar.ColumnarConfig`) is given,
     :func:`columnarize_plan` then swaps profitable subtrees onto the
-    vectorized backend behind ToColumns/ToRows adapters.  Output rows,
-    order, and schemas are unchanged either way.
+    vectorized backend.  Output rows, order, and schemas are unchanged.
 
     Rewrite safety: the optimized plan must produce the same schema as the
     original (checked unconditionally), and when a plan verifier is
@@ -141,17 +72,6 @@ def optimize_plan(
     if log is None:
         log = []
     original_schema = root.schema
-    while True:
-        root, changed = _rewrite(root, log)
-        if not changed:
-            break
-    if plan_annotator() is not None:
-        # Abstract interpretation is on (REPRO_ABSINT=1): eliminate
-        # restricts whose predicates have a constant truth value and prune
-        # statically empty subtrees, before backend selection sees them.
-        from repro.analyze.absint import absint_rewrite_plan
-
-        root, log = absint_rewrite_plan(root, log)
     if parallel is not None and parallel.parallel:
         from repro.dbms.plan_parallel import parallelize_plan
 
@@ -168,83 +88,6 @@ def optimize_plan(
     if verifier is not None:
         verifier(root)
     return root, log
-
-
-def _rewrite(node: PlanNode, log: list[str]) -> tuple[PlanNode, bool]:
-    # Leaves stop the walk.  A CacheNode's child belongs to another (shared,
-    # possibly executing) plan: it is shown by EXPLAIN but never rewritten.
-    # Parallel operators also stop it: their child is the serial template
-    # their morsel builders were derived from, and must stay in sync.
-    # Columnar operators likewise: their kernels were derived from serial
-    # templates by columnarize_plan and are not restructured afterwards.
-    if (
-        isinstance(node, (ScanNode, CacheNode))
-        or hasattr(node, "parallel_info")
-        or hasattr(node, "columnar_info")
-    ):
-        return node, False
-
-    changed = False
-    new_children = []
-    for child in node.children:
-        rewritten, child_changed = _rewrite(child, log)
-        new_children.append(rewritten)
-        changed = changed or child_changed
-    if changed:
-        node._children = tuple(new_children)
-
-    if not isinstance(node, RestrictNode):
-        return node, changed
-
-    child = node.children[0]
-    alias = node.alias
-
-    if isinstance(child, RestrictNode):
-        merged = RestrictNode(
-            child.children[0],
-            Binary("and", child.predicate, node.predicate),
-            alias=alias or child.alias,
-        )
-        log.append(
-            f"merged adjacent restricts: ({child.predicate}) and ({node.predicate})"
-        )
-        return merged, True
-
-    if isinstance(child, RenameNode):
-        old, new = child.mapping
-        predicate = rename_fields(node.predicate, {new: old})
-        pushed = RenameNode(
-            RestrictNode(child.children[0], predicate, alias=alias), old, new
-        )
-        log.append(f"pushed restrict below {child.describe()}")
-        return pushed, True
-
-    if isinstance(child, ProjectNode):
-        pushed = ProjectNode(
-            RestrictNode(child.children[0], node.predicate, alias=alias),
-            child._names,
-        )
-        log.append(f"pushed restrict below {child.describe()}")
-        return pushed, True
-
-    if isinstance(child, OrderByNode):
-        pushed = OrderByNode(
-            RestrictNode(child.children[0], node.predicate, alias=alias),
-            child._names,
-            child._descending,
-        )
-        log.append(f"pushed restrict below {child.describe()}")
-        return pushed, True
-
-    if isinstance(child, DistinctNode):
-        pushed = DistinctNode(
-            RestrictNode(child.children[0], node.predicate, alias=alias)
-        )
-        log.append(f"pushed restrict below {child.describe()}")
-        return pushed, True
-
-    # Union, GroupBy, Sample, Limit, joins, leaves: blocked.
-    return node, changed
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +165,8 @@ def columnarize_plan(
     top and :class:`ToColumnsNode` adapters at the bottom edges.  Each
     kernel keeps its serial original as a ``template`` so executed row
     counters fold back where external callers look for them.  Leaves,
-    Cache boundaries, and parallel operators stop the walk exactly as in
-    the rewrite pass; everything outside a region stays on the row backend
-    untouched.  Row output, ordering, and schemas are invariant.
+    Cache boundaries, and parallel operators stop the walk; everything
+    outside a region stays on the row backend untouched.  Row output, ordering, and schemas are invariant.
     """
     if log is None:
         log = []

@@ -23,15 +23,7 @@ import numpy as np
 from repro.dbms.columnar import default_columnar_config
 from repro.dbms.expr import Binary, FieldRef, Literal
 from repro.dbms.plan import RestrictNode, source_plan
-from repro.dbms.plan_parallel import (
-    default_config,
-    parallelize_plan,
-    plan_fingerprint,
-    plan_read_set,
-    result_cache,
-    storage_epoch,
-)
-from repro.dbms.relation import table_epochs
+from repro.dbms.plan_parallel import default_config, execute_plan
 from repro.dbms.tuples import Tuple
 from repro.dbms import types as T
 from repro.display.displayable import (
@@ -485,13 +477,16 @@ def _try_fast_scatter(
 def _execute_cull_plan(viewport_node, slider_node):
     """Run a synthesized cull plan, parallel- and cache-aware.
 
-    With no process-wide parallel config this is a plain serial execution.
-    Otherwise the plan may be morsel-parallelized (output order and row
-    identity are preserved, so the caller's identity walk still recovers
-    original indices) and its result memoized in the process-wide result
-    cache keyed by extent + source identity + storage epoch — a repeated
+    With no process-wide parallel or columnar config this is a plain serial
+    execution.  Otherwise the plan runs through :func:`execute_plan`: it
+    may be morsel-parallelized or columnarized (output order and row
+    identity are preserved — columnar Restrict selects from cached
+    whole-source batches that hand back the original Tuple objects — so
+    the caller's identity walk still recovers original indices) and its
+    result memoized in the process-wide result cache, so a repeated
     pan/zoom visit of the same extent skips the cull entirely.  Entry meta
-    carries the per-node counters so SceneStats stays exact on a hit.
+    carries the synthesized Restricts' counters so SceneStats stays exact
+    on a hit.
     """
     config = default_config()
     columnar = default_columnar_config()
@@ -500,40 +495,17 @@ def _execute_cull_plan(viewport_node, slider_node):
 
     counted = [node for node in (slider_node, viewport_node)
                if node is not None]
-    key = None
-    pins: tuple = ()
-    epoch = None
-    if config is not None and config.cache:
-        fingerprint = plan_fingerprint(viewport_node)
-        if fingerprint is not None:
-            key, pins = fingerprint
-            cached = result_cache().lookup(key)
-            if cached is not None:
-                rows, meta = cached
-                for node, (rows_in, rows_out) in zip(counted, meta or ()):
-                    node.stats.rows_in += rows_in
-                    node.stats.rows_out += rows_out
-                return list(rows)
-            tables = plan_read_set(viewport_node)
-            epoch = (table_epochs(tables) if tables is not None
-                     else storage_epoch())
-
-    # The rewrites keep row identity (columnar Restrict selects from cached
-    # whole-source batches that hand back the original Tuple objects) and
-    # fold per-node counters back into the synthesized Restricts, so the
-    # caller's identity walk and SceneStats stay exact on every backend.
-    root = viewport_node
-    if config is not None and config.parallel:
-        root, __ = parallelize_plan(viewport_node, config, columnar=columnar)
-    if columnar is not None:
-        from repro.dbms.plan_rewrite import columnarize_plan
-
-        root, __ = columnarize_plan(root, columnar)
-    kept = list(root.rows_iter())
-    if key is not None and epoch is not None:
-        meta = [(node.stats.rows_in, node.stats.rows_out) for node in counted]
-        result_cache().store(key, kept, pins, epoch, meta=meta)
-    return kept
+    rows, meta, status = execute_plan(
+        viewport_node, lambda root: list(root.rows_iter()), config, columnar,
+        meta=lambda: [(node.stats.rows_in, node.stats.rows_out)
+                      for node in counted],
+    )
+    if status == "hit":
+        for node, (rows_in, rows_out) in zip(counted, meta or ()):
+            node.stats.rows_in += rows_in
+            node.stats.rows_out += rows_out
+        return list(rows)
+    return rows
 
 
 def _try_plan_cull(

@@ -42,7 +42,13 @@ class Client:
         self._inbox: list[Response] = []
         self._seq = 0
         self._closed = False
-        self.welcome = self._handshake(session)
+        try:
+            self.welcome = self._handshake(session)
+        except BaseException:
+            # A refused handshake never hands the socket to a caller who
+            # could close it.
+            self._sock.close()
+            raise
         #: The server-side session id this connection drives.
         self.session = self.welcome.session
 

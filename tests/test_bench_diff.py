@@ -321,8 +321,8 @@ def test_cli_update_baselines_rejects_invalid_payload(tmp_path, capsys):
 def test_committed_server_baseline_is_valid():
     """The committed server baseline schema-validates and records the
     50-viewer fig4 run under the 250ms p99 acceptance ceiling."""
-    payload = json.loads(
-        open("benchmarks/baselines/BENCH_server.json").read())
+    with open("benchmarks/baselines/BENCH_server.json") as handle:
+        payload = json.load(handle)
     assert payload["schema"] == SERVER_BENCH_SCHEMA
     assert cli.main(["stats", "--validate-bench",
                      "benchmarks/baselines/BENCH_server.json"]) == 0
@@ -335,8 +335,8 @@ def test_committed_server_baseline_is_valid():
 def test_committed_columnar_baseline_is_valid():
     """The committed columnar baseline schema-validates and records the
     >=10x speedup on at least two of the three workloads."""
-    payload = json.loads(
-        open("benchmarks/baselines/BENCH_columnar.json").read())
+    with open("benchmarks/baselines/BENCH_columnar.json") as handle:
+        payload = json.load(handle)
     assert payload["schema"] == COLUMNAR_BENCH_SCHEMA
     assert cli.main(["stats", "--validate-bench",
                      "benchmarks/baselines/BENCH_columnar.json"]) == 0

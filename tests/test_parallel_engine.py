@@ -8,6 +8,8 @@ table changes under a live cache.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from repro.dataflow.engine import Engine
 from repro.dataflow.explain import explain, explain_data
 from repro.dataflow.graph import Program
 from repro.dbms.catalog import Database
+from repro.dbms.columnar import ColumnarConfig, set_default_columnar_config
+from repro.dbms.plan import plan_verifier, set_plan_verifier
 from repro.dbms.plan_parallel import (
     ParallelConfig,
     result_cache,
@@ -188,3 +192,43 @@ class TestPixelIdenticalRenders:
             set_default_config(previous)
         assert np.array_equal(baseline, first)
         assert np.array_equal(baseline, second)
+
+
+class TestSinglePlanPath:
+    def test_demand_and_cull_both_run_through_optimize_plan(self):
+        """Engine demand and viewer culling prepare every plan through
+        optimize_plan: a counting verifier sees calls from it on both."""
+        paths: list[list[str]] = []
+
+        def counting_verifier(root):
+            frame = sys._getframe(1)
+            if frame.f_code.co_name != "optimize_plan":
+                return      # the per-open() check, not plan preparation
+            names = []
+            while frame is not None:
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            paths.append(names)
+
+        previous_verifier = plan_verifier()
+        set_plan_verifier(counting_verifier)
+        previous = set_default_config(ParallelConfig(workers=2, cache=False))
+        previous_columnar = set_default_columnar_config(ColumnarConfig())
+        try:
+            db = build_weather_database(extra_stations=10, every_days=90)
+            window = scenarios.build_fig4_station_map(db).named["window"]
+            paths.clear()
+            window.render()
+            assert window.viewer.last_result.stats.cull_plans
+            culls = [p for p in paths if "_execute_cull_plan" in p]
+
+            paths.clear()
+            join_db, program, keep = join_program()
+            Engine(program, join_db).output_of(keep)
+            demands = [p for p in paths if "output_of" in p]
+        finally:
+            set_default_columnar_config(previous_columnar)
+            set_default_config(previous)
+            set_plan_verifier(previous_verifier)
+        assert culls
+        assert demands

@@ -14,6 +14,7 @@ per-session labels.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.request
@@ -66,7 +67,8 @@ def _post(server, path: str, body: bytes = b"") -> tuple[int, bytes]:
         with urllib.request.urlopen(request, timeout=30) as reply:
             return reply.status, reply.read()
     except urllib.error.HTTPError as exc:
-        return exc.code, exc.read()
+        with exc:   # the error owns the response's connection
+            return exc.code, exc.read()
 
 
 def _wait_until(predicate, timeout: float = 30.0) -> None:
@@ -119,7 +121,8 @@ def test_http_unknown_route_is_404(server):
     with pytest.raises(urllib.error.HTTPError) as info:
         _get(server, "/nope")
         raise AssertionError("unreachable")
-    assert info.value.code == 404
+    with info.value:   # the error owns the response's connection
+        assert info.value.code == 404
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +181,21 @@ def test_ws_unknown_session_refused(server):
     with pytest.raises(ProtocolError) as info:
         connect(f"ws://{server.host}:{server.port}/ws", session="bogus")
     assert info.value.code == "T2-E512"
+
+
+def test_ws_refused_handshake_closes_client_socket(server, monkeypatch):
+    opened = []
+    create_connection = socket.create_connection
+
+    def tracking(*args, **kwargs):
+        opened.append(create_connection(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(socket, "create_connection", tracking)
+    with pytest.raises(ProtocolError):
+        connect(f"ws://{server.host}:{server.port}/ws", session="bogus")
+    assert len(opened) == 1
+    assert opened[0].fileno() == -1     # closed, not left for the GC
 
 
 def test_ws_can_adopt_http_created_session(server):
@@ -367,7 +385,8 @@ def _delete(server, path: str) -> tuple[int, bytes]:
         with urllib.request.urlopen(request, timeout=30) as reply:
             return reply.status, reply.read()
     except urllib.error.HTTPError as exc:
-        return exc.code, exc.read()
+        with exc:   # the error owns the response's connection
+            return exc.code, exc.read()
 
 
 def test_http_session_delete_endpoint(server):
