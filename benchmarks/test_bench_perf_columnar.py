@@ -19,13 +19,13 @@ import numpy as np
 import pytest
 
 import repro.render.scene as scene
+from repro.config import ExecConfig, use_config
 from repro.data.workloads import build_pairs_tables, build_points_database
 from repro.dataflow.boxes_attr import SetAttributeBox
 from repro.dataflow.boxes_db import AddTableBox
 from repro.dataflow.engine import Engine
 from repro.dataflow.graph import Program
 from repro.dbms import plan as P
-from repro.dbms.columnar import ColumnarConfig, set_default_columnar_config
 from repro.dbms.parser import parse_predicate
 from repro.dbms.plan_rewrite import columnarize_plan
 from repro.obs import global_registry
@@ -105,7 +105,7 @@ def test_perf_columnar_fast_scatter_cull(points_db_20k, record_columnar):
         return P.RestrictNode(P.ScanNode(rows, name="Points"), predicate)
 
     def columnar_plan():
-        root, __ = columnarize_plan(row_plan(), ColumnarConfig())
+        root, __ = columnarize_plan(row_plan(), ExecConfig(columnar=True))
         return root
 
     row_s, row_rows = _best_of(row_plan, _pull, rounds=5)
@@ -166,12 +166,9 @@ def test_perf_columnar_culling_render(scatter_100k, record_columnar):
 
     try:
         row_s, row_canvas = _best_of(lambda: None, render)
-        previous = set_default_columnar_config(ColumnarConfig())
-        try:
+        with use_config(columnar=True):
             (col_s, col_canvas), counters = _counter_deltas(
                 lambda: _best_of(lambda: None, render))
-        finally:
-            set_default_columnar_config(previous)
     finally:
         scene._try_fast_scatter = original
     assert np.array_equal(row_canvas.pixels, col_canvas.pixels)
@@ -210,7 +207,7 @@ def test_perf_columnar_join_restrict(record_columnar):
         return P.RestrictNode(join, predicate)
 
     def columnar_plan():
-        root, __ = columnarize_plan(row_plan(), ColumnarConfig())
+        root, __ = columnarize_plan(row_plan(), ExecConfig(columnar=True))
         return root
 
     row_s, row_rows_out = _best_of(row_plan, _pull, rounds=5)
@@ -242,7 +239,6 @@ def test_perf_columnar_guard_elision(points_db_20k, record_columnar):
     run the *columnar* backend; the ablation is purely the guard, so rows
     must match exactly and the unguarded arm must record elisions.
     """
-    from repro.analyze.absint import set_absint_enabled
     from repro.dbms.expr_compile import ELIDED_COUNTER
 
     rows = points_db_20k.table("Points").snapshot()
@@ -252,19 +248,16 @@ def test_perf_columnar_guard_elision(points_db_20k, record_columnar):
     def columnar_plan():
         root, __ = columnarize_plan(
             P.RestrictNode(P.ScanNode(rows, name="Points"), predicate),
-            ColumnarConfig(),
+            ExecConfig(columnar=True),
         )
         return root
 
     elided = global_registry().counter(*ELIDED_COUNTER)
     guarded_s, guarded_rows = _best_of(columnar_plan, _pull, rounds=5)
     before = elided.value()
-    set_absint_enabled(True)
-    try:
+    with use_config(absint=True):
         (unguarded_s, unguarded_rows), counters = _counter_deltas(
             lambda: _best_of(columnar_plan, _pull, rounds=5))
-    finally:
-        set_absint_enabled(False)
     counters["absint.guards_elided"] = elided.value() - before
     assert counters["absint.guards_elided"] > 0
     assert counters["columnar.fallback"] == 0

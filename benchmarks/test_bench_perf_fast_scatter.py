@@ -15,15 +15,12 @@ import numpy as np
 import pytest
 
 import repro.render.scene as scene
+from repro.config import use_config
 from repro.dataflow.boxes_attr import AddAttributeBox, SetAttributeBox
 from repro.dataflow.boxes_db import AddTableBox
 from repro.dataflow.engine import Engine
 from repro.dataflow.graph import Program
-from repro.dbms.plan_parallel import (
-    ParallelConfig,
-    result_cache,
-    set_default_config,
-)
+from repro.dbms.plan_parallel import result_cache
 from repro.render.canvas import Canvas
 from repro.render.scene import SceneStats, ViewState, render_composite
 
@@ -100,10 +97,8 @@ def test_perf_scatter_parallel_cache_speedup(scatter, record_parallel):
     canvases: dict[str, Canvas] = {}
     try:
         for arm, workers in _ARMS.items():
-            config = (None if workers == 0
-                      else ParallelConfig(workers=workers, cache=True))
-            previous = set_default_config(config)
-            try:
+            # workers=0 is the plain serial arm: no result cache either.
+            with use_config(workers=max(workers, 1), cache=workers > 0):
                 best = float("inf")
                 canvas = None
                 for __ in range(_ROUNDS):
@@ -114,8 +109,6 @@ def test_perf_scatter_parallel_cache_speedup(scatter, record_parallel):
                         render_composite(canvas, scatter, view,
                                          stats=SceneStats())
                     best = min(best, time.perf_counter() - start)
-            finally:
-                set_default_config(previous)
             arms[arm] = {"workers": workers, "seconds": round(best, 6)}
             canvases[arm] = canvas
     finally:

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.config import use_config
 from repro.data.workloads import build_pairs_tables
 from repro.dataflow.boxes_db import AddTableBox, JoinBox, RestrictBox
 from repro.dataflow.engine import Engine
@@ -90,14 +91,12 @@ def _slaved_join_workload():
 
 def _run_viewers(db, program, box_id, workers: int):
     """Force the join output through _VIEWERS fresh engines (one per viewer)."""
-    if workers == 0:
-        knobs = {"workers": 0, "cache": False}   # fully serial, no sharing
-    else:
-        knobs = {"workers": workers, "cache": True}
     rows = None
-    for __ in range(_VIEWERS):
-        engine = Engine(program, db, **knobs)
-        rows = engine.output_of(box_id).rows.force()
+    # workers=0 is fully serial with no sharing.
+    with use_config(workers=max(workers, 1), cache=workers > 0):
+        for __ in range(_VIEWERS):
+            engine = Engine(program, db)
+            rows = engine.output_of(box_id).rows.force()
     return rows
 
 

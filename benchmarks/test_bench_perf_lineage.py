@@ -64,7 +64,7 @@ def test_perf_lineage_groupby_20k(benchmark, points_rows, capture):
     def run():
         node = aggregate_plan(points_rows)
         if capture:
-            with lineage_capture(True):
+            with lineage_capture():
                 return node, list(node.rows_iter())
         return node, list(node.rows_iter())
 
@@ -89,7 +89,7 @@ def test_perf_lineage_render_deep_zoom(benchmark, scatter, capture):
         canvas = Canvas(320, 240)
         stats = SceneStats()
         if capture:
-            with lineage_capture(True) as state:
+            with lineage_capture() as state:
                 render_composite(canvas, scatter, DEEP_ZOOM, stats=stats)
                 return stats, state
         render_composite(canvas, scatter, DEEP_ZOOM, stats=stats)

@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.api import Engine, Session, build_weather_database, result_cache
+from repro.api import (
+    Engine,
+    Session,
+    build_weather_database,
+    result_cache,
+    use_config,
+)
 
 
 def main() -> None:
@@ -87,10 +93,11 @@ def main() -> None:
     #    (docs/PARALLELISM.md): a second engine — a slaved viewer, say — is
     #    served the materialized rows without re-executing the plan.
     result_cache().clear()
-    fast = Engine(session.program, db, workers=4)
-    rows = fast.output_of(restrict).rows.force()
-    slaved = Engine(session.program, db, workers=4)
-    slaved.output_of(restrict).rows.force()
+    with use_config(workers=4, cache=True):
+        fast = Engine(session.program, db)
+        rows = fast.output_of(restrict).rows.force()
+        slaved = Engine(session.program, db)
+        slaved.output_of(restrict).rows.force()
     stats = result_cache().stats()
     print(f"\nparallel engine (workers=4): {len(rows)} rows; result cache "
           f"hits={stats['hits']} misses={stats['misses']}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from repro.api import Database, Engine, Session, result_cache
+from repro.api import Database, Engine, Session, result_cache, use_config
 from repro.dbms.tuples import Schema
 
 
@@ -136,10 +136,11 @@ def main() -> None:
     # (docs/PARALLELISM.md).
     # ------------------------------------------------------------------
     result_cache().clear()
-    parallel = Engine(session.program, db, workers=4)
-    rows = parallel.output_of(switch, "true").rows.force()
-    mirror = Engine(session.program, db, workers=4)
-    mirror.output_of(switch, "true").rows.force()
+    with use_config(workers=4, cache=True):
+        parallel = Engine(session.program, db)
+        rows = parallel.output_of(switch, "true").rows.force()
+        mirror = Engine(session.program, db)
+        mirror.output_of(switch, "true").rows.force()
     stats = result_cache().stats()
     print(f"parallel engine (workers=4): {len(rows)} big-ticket rows; "
           f"result cache hits={stats['hits']} misses={stats['misses']}")

@@ -20,9 +20,8 @@ Subpackages
 ``repro.core``      facade and the paper's figure scenarios
 ``repro.analyze``   static program checker, expression typechecker, plan verifier
 ``repro.obs``       tracing spans, metrics registry, Chrome-trace exporters
+``repro.config``    the process execution config (ExecConfig, use_config)
 """
-
-import os as _os
 
 # The supported public surface lives in repro.api; the package root
 # re-exports it so `from repro import Session` keeps working.  Deep module
@@ -49,42 +48,11 @@ from repro.api import (
     open_db,
     serve,
 )
+from repro.config import configure_process as _configure_process
 from repro.errors import TiogaError
 
-if _os.environ.get("REPRO_PLAN_VERIFY") == "1":
-    from repro.analyze.planverify import install_from_env as _install_verifier
-
-    _install_verifier()
-
-if _os.environ.get("REPRO_ABSINT") == "1":
-    from repro.analyze.absint import install_from_env as _install_absint
-
-    _install_absint()
-
-if _os.environ.get("REPRO_TRACE") == "1":
-    from repro.obs.trace import install_from_env as _install_tracer
-
-    _install_tracer()
-
-if _os.environ.get("REPRO_FLIGHT") == "1":
-    from repro.obs.flightrec import install_from_env as _install_flight
-
-    _install_flight()
-
-if _os.environ.get("REPRO_PARALLEL", "") not in ("", "0"):
-    from repro.dbms.plan_parallel import install_from_env as _install_parallel
-
-    _install_parallel()
-
-if _os.environ.get("REPRO_COLUMNAR", "") not in ("", "0"):
-    from repro.dbms.columnar import install_from_env as _install_columnar
-
-    _install_columnar()
-
-if _os.environ.get("REPRO_LINEAGE", "") not in ("", "0"):
-    from repro.obs.lineage import install_from_env as _install_lineage
-
-    _install_lineage()
+# Adopt the REPRO_* environment as the process ExecConfig (repro.config).
+_configure_process()
 
 __version__ = "1.0.0"
 

@@ -11,11 +11,13 @@ stable ``T2-*`` codes (catalog: ``docs/STATIC_ANALYSIS.md``):
   positions;
 - :func:`verify_plan` / :func:`assert_valid_plan`
   (``repro.analyze.planverify``) — plan-IR invariant verification, also
-  installable as a runtime hook via ``REPRO_PLAN_VERIFY=1``;
+  installable as a runtime hook via ``ExecConfig.verify``
+  (``REPRO_PLAN_VERIFY=1``);
 - :func:`check_program_deep` / :func:`abstract_eval`
   (``repro.analyze.absint``) — abstract interpretation over expressions,
   programs, and plans (interval/nullability/constancy/sign domains);
-  ``REPRO_ABSINT=1`` installs its hazard prover as the plan annotator so
+  ``ExecConfig.absint`` (``REPRO_ABSINT=1``) installs its hazard prover as
+  the plan annotator so
   the columnar compiler can elide proven-impossible runtime guards.
 
 The heavy passes are imported lazily so ``repro.analyze.diagnostics`` stays
@@ -49,10 +51,7 @@ __all__ = [
     "check_expression",
     "verify_plan",
     "assert_valid_plan",
-    "install_from_env",
     "abstract_eval",
-    "absint_enabled",
-    "set_absint_enabled",
 ]
 
 _LAZY = {
@@ -63,15 +62,12 @@ _LAZY = {
     "types_compatible": "repro.analyze.exprcheck",
     "verify_plan": "repro.analyze.planverify",
     "assert_valid_plan": "repro.analyze.planverify",
-    "install_from_env": "repro.analyze.planverify",
     "AbstractValue": "repro.analyze.absint",
     "HazardProofs": "repro.analyze.absint",
     "Interval": "repro.analyze.absint",
     "abstract_eval": "repro.analyze.absint",
-    "absint_enabled": "repro.analyze.absint",
     "analyze_hazards": "repro.analyze.absint",
     "check_program_deep": "repro.analyze.absint",
-    "set_absint_enabled": "repro.analyze.absint",
 }
 
 

@@ -46,7 +46,8 @@ The same machinery powers:
   positions.  These are diagnostics only: plans are never rewritten from
   them, so EXPLAIN is identical with the interpreter on or off.
 
-Enable with ``REPRO_ABSINT=1`` or :func:`set_absint_enabled`; everything
+Enable with ``ExecConfig.absint`` (``use_config(absint=True)`` or
+``REPRO_ABSINT=1``, :mod:`repro.config`); everything
 here is advisory — with the interpreter off, compiled kernels keep their
 runtime guards and behave exactly as before.
 """
@@ -54,7 +55,6 @@ runtime guards and behave exactly as before.
 from __future__ import annotations
 
 import math
-import os
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.analyze.diagnostics import Diagnostic, Report
@@ -80,14 +80,11 @@ __all__ = [
     "Interval",
     "PROOFS_COUNTER",
     "abstract_eval",
-    "absint_enabled",
     "analyze_hazards",
     "check_program_deep",
     "env_from_stats",
-    "install_from_env",
     "plan_column_facts",
     "prove_plan_predicate",
-    "set_absint_enabled",
     "top_env",
 ]
 
@@ -922,27 +919,6 @@ def prove_plan_predicate(
     if proofs.proven:
         _proofs_counter().inc(len(proofs.proven))
     return proofs
-
-
-def absint_enabled() -> bool:
-    """Is the abstract interpreter installed as the plan annotator?"""
-    return P.plan_annotator() is not None
-
-
-def set_absint_enabled(enabled: bool) -> bool:
-    """Install (or remove) the plan annotator; returns the previous state."""
-    previous = absint_enabled()
-    P.set_plan_annotator(prove_plan_predicate if enabled else None)
-    return previous
-
-
-def install_from_env(environ: Mapping[str, str] | None = None) -> bool:
-    """Enable the interpreter when ``REPRO_ABSINT=1`` (the CLI/env hook)."""
-    environ = os.environ if environ is None else environ
-    if environ.get("REPRO_ABSINT") == "1":
-        set_absint_enabled(True)
-        return True
-    return False
 
 
 # ---------------------------------------------------------------------------

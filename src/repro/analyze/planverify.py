@@ -23,14 +23,13 @@ reporting violations as ``T2-E111`` diagnostics:
 
 Constructors check these once; rewrites (:mod:`repro.dbms.plan_rewrite`)
 mutate ``_children`` in place, so a buggy rewrite is exactly what this
-verifier exists to catch.  Setting ``REPRO_PLAN_VERIFY=1`` installs
+verifier exists to catch.  ``ExecConfig.verify`` (``REPRO_PLAN_VERIFY=1``
+or ``use_config(verify=True)``, :mod:`repro.config`) installs
 :func:`assert_valid_plan` as the verification hook that runs on every
 ``PlanNode.open()`` and after every ``optimize_plan`` pass.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.analyze.diagnostics import Diagnostic, Report
 from repro.dbms import plan as P
@@ -38,7 +37,7 @@ from repro.dbms import plan_parallel as PP
 from repro.dbms import types as T
 from repro.errors import SchemaError, StaticAnalysisError, TiogaError
 
-__all__ = ["verify_plan", "assert_valid_plan", "install_from_env"]
+__all__ = ["verify_plan", "assert_valid_plan"]
 
 
 def _fail(report: Report, node, message: str, hint: str | None = None) -> None:
@@ -581,13 +580,3 @@ def assert_valid_plan(root) -> None:
             "plan-IR verification failed:\n" + report.render(),
             report=report,
         )
-
-
-def install_from_env(environ=None) -> bool:
-    """Install the verifier as the plan hook when ``REPRO_PLAN_VERIFY=1``."""
-    if environ is None:
-        environ = os.environ
-    if environ.get("REPRO_PLAN_VERIFY") == "1":
-        P.set_plan_verifier(assert_valid_plan)
-        return True
-    return False

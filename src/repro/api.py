@@ -2,12 +2,14 @@
 
 Import from here::
 
-    from repro.api import Session, Engine, Program, open_db
+    from repro.api import Session, Engine, Program, open_db, use_config
 
     db = open_db()                     # empty database
     db = open_db("weather")           # the paper's synthetic weather data
     session = Session(db)
-    engine = Engine(program, db, workers=4)   # morsel-parallel + result cache
+    engine = Engine(program, db)
+    with use_config(workers=4, cache=True):   # morsel-parallel + result cache
+        rows = engine.output_of(box).rows.force()
 
 Everything re-exported below is **supported**: names, signatures, and
 observable behaviour are kept compatible across releases of this repo,
@@ -16,16 +18,17 @@ from a deep module path (``repro.dbms.plan``, ``repro.render.scene``,
 …) is an **internal** and may change in any commit — see ``docs/API.md``
 for the full contract.
 
-New in this release: keyword-only ``workers=`` / ``cache=`` knobs on
-:class:`Engine` (and the ``REPRO_PARALLEL`` environment variable) turning
-on partition-parallel plan execution with a process-wide result cache —
-see ``docs/PARALLELISM.md``.
-
-Also new: the columnar execution backend.  ``Engine(columnar=True)`` (or
-``REPRO_COLUMNAR=1``, or a :class:`ColumnarConfig`) lets the plan
-optimizer run eligible subtrees as vectorized numpy kernels over
-:class:`ColumnBatch` data — identical rows, order, and pixels, large
-speedups on scans/filters/joins — see ``docs/COLUMNAR.md``.
+New in this release: one execution config.  :class:`ExecConfig` holds
+every setting that changes how plans execute — ``workers``/``cache``
+(partition-parallel execution with a process-wide result cache, see
+``docs/PARALLELISM.md``), ``columnar`` (eligible subtrees run as
+vectorized numpy kernels, see ``docs/COLUMNAR.md``), ``lineage``,
+``absint`` and ``verify``.  :func:`exec_config` returns the process value,
+:func:`use_config` overlays fields for a block, and ``REPRO_*``
+environment variables set it at import.  Engine demand and viewer
+culling both read it at force time.  It replaces the ``Engine(workers=,
+cache=, columnar=, lineage=)`` knobs and the per-subsystem config
+classes; ``docs/API.md`` lists each removed name with its replacement.
 
 Also new: time-series telemetry and the self-hosted dashboard.
 :class:`MetricsRecorder` samples the process metrics into ring-buffer
@@ -39,13 +42,13 @@ Tioga-2 program — see ``docs/OBSERVABILITY.md`` and ``docs/DASHBOARD.md``.
 Also new: static analysis.  :func:`check_program` lints a program without
 executing it; :func:`check_program_deep` additionally runs the abstract
 interpreter (interval/nullability/constancy/sign domains) for dead
-predicates and statically empty results; :func:`set_absint_enabled` (or
+predicates and statically empty results; ``use_config(absint=True)`` (or
 ``REPRO_ABSINT=1``) feeds the same analysis to the plan compiler so
 proven-impossible runtime guards are elided from columnar kernels — see
 ``docs/STATIC_ANALYSIS.md``.
 
-Also new: why-provenance.  ``Engine(lineage=True)`` (or ``REPRO_LINEAGE=1``,
-or a :class:`LineageConfig`) records per-operator backward lineage while
+Also new: why-provenance.  ``use_config(lineage=True)`` (or
+``REPRO_LINEAGE=1``) records per-operator backward lineage while
 plans execute; :func:`why` picks the mark under a pixel and walks it back
 to the exact base-table rows, returning a ``repro.lineage/1`` document
 (:func:`render_why` pretty-prints it, CLI ``repro why``).  Result-cache
@@ -74,11 +77,10 @@ from __future__ import annotations
 from repro.analyze import (
     Diagnostic,
     Report,
-    absint_enabled,
     check_program,
     check_program_deep,
-    set_absint_enabled,
 )
+from repro.config import ExecConfig, exec_config, use_config
 from repro.core import (
     CanvasWindow,
     Database,
@@ -131,24 +133,11 @@ from repro.dataflow.boxes_extra import (
 from repro.dataflow.engine import Engine, EngineStats
 from repro.dataflow.explain import explain, explain_data
 from repro.dataflow.graph import Program
-from repro.dbms.columnar import (
-    ColumnarConfig,
-    columnar_config_from_env,
-    default_columnar_config,
-    set_default_columnar_config,
-)
-from repro.dbms.plan_parallel import (
-    ParallelConfig,
-    config_from_env,
-    default_config,
-    result_cache,
-    set_default_config,
-)
+from repro.dbms.plan_parallel import result_cache
 from repro.errors import TiogaError
 from repro.obs import (
     LINEAGE_SCHEMA,
     FlightRecorder,
-    LineageConfig,
     MetricsRecorder,
     Profiler,
     RequestLog,
@@ -156,15 +145,12 @@ from repro.obs import (
     TraceContext,
     configure_logging,
     current_trace_context,
-    default_lineage_config,
     diff_bench,
     diff_bench_files,
     get_logger,
     install_flight_recorder,
     lineage_capture,
-    lineage_config_from_env,
     render_why,
-    set_default_lineage_config,
     why,
 )
 from repro.obs.dashboard import (
@@ -221,17 +207,12 @@ __all__ = [
     "EngineStats",
     "explain",
     "explain_data",
-    # Parallelism & caching
-    "ParallelConfig",
-    "config_from_env",
-    "default_config",
-    "set_default_config",
+    # Execution config: parallelism, result cache, columnar backend,
+    # lineage capture, absint annotator, plan verifier
+    "ExecConfig",
+    "exec_config",
+    "use_config",
     "result_cache",
-    # Columnar backend
-    "ColumnarConfig",
-    "columnar_config_from_env",
-    "default_columnar_config",
-    "set_default_columnar_config",
     # Observability: time series, flight recorder, bench gate, dashboard
     "MetricsRecorder",
     "TimeSeries",
@@ -253,11 +234,7 @@ __all__ = [
     "render_dashboard",
     # Lineage & why-provenance
     "LINEAGE_SCHEMA",
-    "LineageConfig",
     "lineage_capture",
-    "lineage_config_from_env",
-    "default_lineage_config",
-    "set_default_lineage_config",
     "why",
     "render_why",
     # Static analysis
@@ -265,8 +242,6 @@ __all__ = [
     "Report",
     "check_program",
     "check_program_deep",
-    "absint_enabled",
-    "set_absint_enabled",
     # Boxes
     "AddTableBox",
     "RestrictBox",

@@ -69,6 +69,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.config import exec_config, use_config
 from repro.core import scenarios
 from repro.data.weather import build_weather_database
 from repro.dbms.algebra import limit as limit_rows
@@ -1206,39 +1207,24 @@ _HANDLERS = {
     "client": _cmd_client,
 }
 
-_UNSET = object()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     import json
 
-    previous_config = _UNSET
+    # --workers / --columnar overlay the process ExecConfig for the
+    # subcommand, so every engine it creates (Session builds them
+    # internally) and every cull plan picks them up; --workers N <= 1 is
+    # serial, N >= 2 also turns the result cache on.
+    changes: dict = {}
     if getattr(args, "workers", None) is not None:
-        # --workers installs a process-wide parallel config so every engine
-        # the subcommand creates (Session builds them internally) picks it
-        # up; N <= 1 resolves to serial execution.
-        from repro.dbms.plan_parallel import resolve_config, set_default_config
-
-        previous_config = set_default_config(
-            resolve_config(workers=args.workers)
-        )
-    previous_columnar = _UNSET
+        changes["workers"] = args.workers
+        changes["cache"] = exec_config().cache or args.workers >= 2
     if getattr(args, "columnar", False):
-        # Same pattern for --columnar: a process-wide default so every
-        # engine the subcommand creates runs eligible subtrees vectorized.
-        from repro.dbms.columnar import (
-            ColumnarConfig,
-            default_columnar_config,
-            set_default_columnar_config,
-        )
-
-        previous_columnar = set_default_columnar_config(
-            default_columnar_config() or ColumnarConfig()
-        )
+        changes["columnar"] = True
     try:
-        return _HANDLERS[args.command](args)
+        with use_config(**changes):
+            return _HANDLERS[args.command](args)
     except TiogaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -1248,15 +1234,6 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: not a database file: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if previous_config is not _UNSET:
-            from repro.dbms.plan_parallel import set_default_config
-
-            set_default_config(previous_config)
-        if previous_columnar is not _UNSET:
-            from repro.dbms.columnar import set_default_columnar_config
-
-            set_default_columnar_config(previous_columnar)
 
 
 if __name__ == "__main__":

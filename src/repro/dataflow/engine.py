@@ -20,64 +20,47 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.config import ExecConfig, exec_config
 from repro.dataflow.box import Box
 from repro.dataflow.graph import Program
 from repro.dbms.catalog import Database
-from repro.dbms.columnar import ColumnarConfig, resolve_columnar_config
 from repro.dbms.plan import LazyRowSet, PlanNode
-from repro.dbms.plan_parallel import (
-    ParallelConfig,
-    execute_plan,
-    resolve_config,
-)
+from repro.dbms.plan_parallel import execute_plan
 from repro.display.displayable import Composite, DisplayableRelation, Group
 from repro.errors import GraphError, StaticAnalysisError, TiogaError
-from repro.obs.lineage import (
-    LineageConfig,
-    lineage_capture,
-    resolve_lineage_config,
-)
+from repro.obs.lineage import lineage_capture
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import current_tracer
 
 __all__ = ["FireContext", "EngineStats", "Engine"]
 
 
-def _force_value(
-    value: Any,
-    parallel: ParallelConfig | None,
-    columnar: ColumnarConfig | None,
-) -> Any:
+def _force_value(value: Any, config: ExecConfig) -> Any:
     """Materialize any lazily-streamed row sets inside a demanded value.
 
     Boxes emit plan fragments wrapped in :class:`LazyRowSet`; demand is the
     materialization boundary, so data-dependent evaluation errors surface
     here — from ``output_of``/``evaluate_all`` — exactly where they surfaced
-    when boxes materialized eagerly.  With no parallel or columnar config a
-    lazy set is forced as built; otherwise it runs through
-    :func:`_force_lazy`.
+    when boxes materialized eagerly.  Under a plain config a lazy set is
+    forced as built; otherwise it runs through :func:`_force_lazy`.
     """
     if isinstance(value, LazyRowSet):
-        if parallel is None and columnar is None:
+        if config.plain:
             value.force()
         else:
-            _force_lazy(value, parallel, columnar)
+            _force_lazy(value, config)
     elif isinstance(value, DisplayableRelation):
-        _force_value(value.rows, parallel, columnar)
+        _force_value(value.rows, config)
     elif isinstance(value, Composite):
         for entry in value.entries:
-            _force_value(entry.relation, parallel, columnar)
+            _force_value(entry.relation, config)
     elif isinstance(value, Group):
         for __, member in value.members:
-            _force_value(member, parallel, columnar)
+            _force_value(member, config)
     return value
 
 
-def _force_lazy(
-    lazy: LazyRowSet,
-    parallel: ParallelConfig | None,
-    columnar: ColumnarConfig | None,
-) -> None:
+def _force_lazy(lazy: LazyRowSet, config: ExecConfig) -> None:
     """Materialize one lazy row set through :func:`execute_plan`.
 
     A cache hit is adopted (the plan never runs) and the optimized plan
@@ -96,7 +79,7 @@ def _force_lazy(
             lazy.replace_plan(root)
         return lazy.force()
 
-    rows, __, status = execute_plan(lazy.plan, run, parallel, columnar)
+    rows, __, status = execute_plan(lazy.plan, run, config)
     if status == "hit":
         lazy.adopt(rows)
     if status is not None:
@@ -228,6 +211,10 @@ class Engine:
     again after any program edit (tracked by the program version), raising
     :class:`StaticAnalysisError` instead of letting a provably broken
     program fail halfway through a firing chain.
+
+    How demanded plans execute (parallelism, result cache, columnar
+    backend, lineage capture) is the process :class:`~repro.config.ExecConfig`
+    at the moment of demand — the same value the viewers' cull plans read.
     """
 
     def __init__(
@@ -236,11 +223,6 @@ class Engine:
         database: Database,
         preflight: bool = False,
         registry: MetricsRegistry | None = None,
-        *,
-        workers: int | None = None,
-        cache: bool | None = None,
-        columnar: bool | ColumnarConfig | None = None,
-        lineage: bool | LineageConfig | None = None,
     ):
         self.program = program
         self.database = database
@@ -249,27 +231,14 @@ class Engine:
         self._preflight_stamp: tuple | None = None
         # box_id -> (signature, outputs dict)
         self._cache: dict[int, tuple[tuple, dict[str, Any]]] = {}
-        # Parallel execution + result-cache config.  With both knobs left
-        # None this follows the process default (REPRO_PARALLEL); explicit
-        # workers=0/1 with cache=False forces fully serial execution.
-        self.parallel = resolve_config(workers, cache)
-        # Columnar backend selection: None inherits the process default
-        # (REPRO_COLUMNAR), False pins the row backend, True/a config
-        # enables per-subtree vectorization.  Rows/order are identical
-        # either way (docs/COLUMNAR.md).
-        self.columnar = resolve_columnar_config(columnar)
-        # Lineage capture: None inherits the process default
-        # (REPRO_LINEAGE), False disables, True/a config records
-        # output -> input mappings while this engine forces values
-        # (docs/OBSERVABILITY.md, "Lineage & why-provenance").
-        self.lineage = resolve_lineage_config(lineage)
 
     def _force(self, value: Any) -> Any:
-        """Materialize a demanded value, honoring the execution config."""
-        if self.lineage is not None:
-            with lineage_capture(self.lineage):
-                return _force_value(value, self.parallel, self.columnar)
-        return _force_value(value, self.parallel, self.columnar)
+        """Materialize a demanded value under the current execution config."""
+        config = exec_config()
+        if config.lineage:
+            with lineage_capture(config.max_mappings):
+                return _force_value(value, config)
+        return _force_value(value, config)
 
     # ------------------------------------------------------------------
 

@@ -116,8 +116,8 @@ consumers (Limit, a zoomed-in viewer) pull little more than they need,
 large enough to amortize per-batch accounting."""
 
 #: Optional verification hook run on every ``PlanNode.open()`` and after
-#: plan rewrites.  ``repro.analyze.planverify.install_from_env`` installs
-#: the invariant verifier here when ``REPRO_PLAN_VERIFY=1``.
+#: plan rewrites.  :func:`repro.config.use_config` installs the invariant
+#: verifier here when ``ExecConfig.verify`` is set (``REPRO_PLAN_VERIFY=1``).
 _VERIFY_HOOK: Callable[["PlanNode"], None] | None = None
 
 
@@ -134,9 +134,10 @@ def plan_verifier() -> Callable[["PlanNode"], None] | None:
 
 #: Optional abstract-interpretation hook consulted when predicate-bearing
 #: nodes compile their kernels.  ``repro.analyze.absint`` installs
-#: ``prove_plan_predicate`` here (``REPRO_ABSINT=1`` or
-#: ``set_absint_enabled``); the hook maps ``(predicate, child_node)`` to a
-#: proof object consumed by ``expr_compile.compile_predicate(hazards=...)``.
+#: ``prove_plan_predicate`` here (``ExecConfig.absint``, via
+#: ``REPRO_ABSINT=1`` or ``use_config``); the hook maps
+#: ``(predicate, child_node)`` to a proof object consumed by
+#: ``expr_compile.compile_predicate(hazards=...)``.
 _ABSINT_HOOK: Callable[[Expr, "PlanNode"], Any] | None = None
 
 

@@ -35,21 +35,21 @@ reuse while the entry lives), and productive because ``Table.snapshot()``
 memoizes per version, so independent plans over the same stored table
 share one leaf object.
 
-Both mechanisms are off unless a :class:`ParallelConfig` is active — via
-``Engine(workers=N)``, the ``REPRO_PARALLEL`` environment variable, or
-:func:`set_default_config`.
+Both mechanisms are off unless the process :class:`~repro.config.ExecConfig`
+turns them on: ``workers >= 2`` for morsels, ``cache`` for reuse — via
+``use_config(workers=N, cache=True)`` or ``REPRO_PARALLEL``.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.dbms.columnar import ColumnBatch, ColumnarConfig, cached_batch
+from repro.config import ExecConfig
+from repro.dbms.columnar import ColumnBatch, cached_batch
 from repro.dbms.expr_compile import VectorFallback, compile_predicate
 from repro.dbms.plan import (
     EFFECT_PARALLEL,
@@ -96,12 +96,6 @@ from repro.obs.metrics import global_registry
 from repro.obs.trace import current_tracer
 
 __all__ = [
-    "ParallelConfig",
-    "config_from_env",
-    "default_config",
-    "set_default_config",
-    "install_from_env",
-    "resolve_config",
     "ParallelMapNode",
     "ParallelHashJoinNode",
     "parallelize_plan",
@@ -112,125 +106,6 @@ __all__ = [
     "execute_plan",
     "storage_epoch",
 ]
-
-
-DEFAULT_WORKERS = 4
-DEFAULT_MORSEL_SIZE = 2048
-"""Rows per morsel.  Large enough that per-morsel dispatch overhead is
-amortized; small enough that a handful of morsels exist for typical
-interactive relations."""
-
-
-class ParallelConfig:
-    """How parallel a plan execution should be, and whether results cache.
-
-    ``workers <= 1`` disables morsel parallelism but (with ``cache=True``)
-    keeps result reuse — useful for measuring the two mechanisms apart.
-    """
-
-    __slots__ = ("workers", "cache", "morsel_size", "min_partition_rows")
-
-    def __init__(
-        self,
-        workers: int = DEFAULT_WORKERS,
-        cache: bool = True,
-        morsel_size: int = DEFAULT_MORSEL_SIZE,
-        min_partition_rows: int | None = None,
-    ):
-        self.workers = max(1, int(workers))
-        self.cache = bool(cache)
-        self.morsel_size = max(1, int(morsel_size))
-        if min_partition_rows is None:
-            min_partition_rows = 2 * self.morsel_size
-        self.min_partition_rows = max(2, int(min_partition_rows))
-
-    @property
-    def parallel(self) -> bool:
-        """True when morsel parallelism (not just caching) is on."""
-        return self.workers >= 2
-
-    def __repr__(self) -> str:
-        return (
-            f"ParallelConfig(workers={self.workers}, cache={self.cache}, "
-            f"morsel_size={self.morsel_size})"
-        )
-
-
-def config_from_env(environ: dict[str, str] | None = None) -> ParallelConfig | None:
-    """Build a config from ``REPRO_PARALLEL`` (unset/empty/"0" → None).
-
-    ``REPRO_PARALLEL=1`` means the default worker count; any other integer
-    is the worker count itself.  ``REPRO_PARALLEL_CACHE=0`` disables the
-    result cache; ``REPRO_PARALLEL_MORSEL`` overrides the morsel size.
-    """
-    env = os.environ if environ is None else environ
-    raw = env.get("REPRO_PARALLEL", "")
-    if raw in ("", "0"):
-        return None
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = DEFAULT_WORKERS
-    if workers == 1:
-        workers = DEFAULT_WORKERS
-    cache = env.get("REPRO_PARALLEL_CACHE", "1") != "0"
-    try:
-        morsel = int(env.get("REPRO_PARALLEL_MORSEL", str(DEFAULT_MORSEL_SIZE)))
-    except ValueError:
-        morsel = DEFAULT_MORSEL_SIZE
-    return ParallelConfig(workers=workers, cache=cache, morsel_size=morsel)
-
-
-_DEFAULT_CONFIG: ParallelConfig | None = None
-
-
-def default_config() -> ParallelConfig | None:
-    """The process-wide default config (None → fully serial, no caching)."""
-    return _DEFAULT_CONFIG
-
-
-def set_default_config(config: ParallelConfig | None) -> ParallelConfig | None:
-    """Install the process-wide default; returns the previous value."""
-    global _DEFAULT_CONFIG
-    previous = _DEFAULT_CONFIG
-    _DEFAULT_CONFIG = config
-    return previous
-
-
-def install_from_env() -> None:
-    """Adopt ``REPRO_PARALLEL`` as the process default (import-time hook)."""
-    config = config_from_env()
-    if config is not None:
-        set_default_config(config)
-
-
-def resolve_config(
-    workers: int | None = None, cache: bool | None = None
-) -> ParallelConfig | None:
-    """Resolve explicit ``Engine(workers=, cache=)`` knobs over the default.
-
-    With both None, the process default (env-driven) applies unchanged.
-    Explicit ``workers=0``/``workers=1`` with caching off resolves to fully
-    serial (None).
-    """
-    base = default_config()
-    if workers is None and cache is None:
-        return base
-    resolved_workers = (
-        workers if workers is not None else (base.workers if base else 1)
-    )
-    if cache is not None:
-        resolved_cache = cache
-    elif base is not None:
-        resolved_cache = base.cache
-    else:
-        resolved_cache = resolved_workers >= 2
-    if resolved_workers <= 1 and not resolved_cache:
-        return None
-    morsel = base.morsel_size if base else DEFAULT_MORSEL_SIZE
-    return ParallelConfig(
-        workers=resolved_workers, cache=resolved_cache, morsel_size=morsel
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +397,7 @@ def result_cache() -> ResultCache:
 def execute_plan(
     plan: PlanNode,
     run: Callable[[PlanNode], Sequence[Tuple]],
-    config: ParallelConfig | None,
-    columnar: ColumnarConfig | None = None,
+    config: ExecConfig,
     meta: Callable[[], Any] | None = None,
 ) -> tuple[Sequence[Tuple], Any, str | None]:
     """Run one not-yet-started plan through the result cache and backend
@@ -541,7 +415,7 @@ def execute_plan(
     executions of one logical plan share entries.
     """
     key = None
-    if config is not None and config.cache:
+    if config.cache:
         fingerprint = plan_fingerprint(plan)
         if fingerprint is not None:
             key, pins = fingerprint
@@ -552,7 +426,7 @@ def execute_plan(
             tables = plan_read_set(plan)
             epoch = (table_epochs(tables) if tables is not None
                      else storage_epoch())
-    root, __ = optimize_plan(plan, parallel=config, columnar=columnar)
+    root, __ = optimize_plan(plan, config)
     rows = run(root)
     if key is None:
         return rows, None, None
@@ -607,11 +481,11 @@ class ParallelMapNode(PlanNode):
     of draws the serial operator makes — then morsels partition the
     surviving rows.
 
-    When a :class:`~repro.dbms.columnar.ColumnarConfig` is supplied and
-    every Restrict predicate in the chain vectorizes, each morsel executes
-    as a column-batch slice instead of a row loop: the leaf's cached
-    columnar conversion is sliced per morsel, compiled mask programs apply
-    the restricts, and Project/Rename relabel column references.  A morsel
+    When the config enables the columnar backend and every Restrict
+    predicate in the chain vectorizes, each morsel executes as a
+    column-batch slice instead of a row loop: the leaf's cached columnar
+    conversion is sliced per morsel, compiled mask programs apply the
+    restricts, and Project/Rename relabel column references.  A morsel
     that trips a data hazard re-runs on the serial row path
     (``columnar.fallback``).  Output rows, order, and per-template
     counters are identical either way.
@@ -625,8 +499,7 @@ class ParallelMapNode(PlanNode):
         leaf: PlanNode,
         chain: Sequence[PlanNode],
         sample: SampleNode | None,
-        config: ParallelConfig,
-        columnar: ColumnarConfig | None = None,
+        config: ExecConfig,
     ):
         super().__init__((chain_root,), chain_root.schema)
         self._leaf = leaf
@@ -638,7 +511,7 @@ class ParallelMapNode(PlanNode):
         #: Hazard proofs that elided guards in the vector chain (EXPLAIN).
         self.proof: str | None = None
         self._vector_chain = (
-            self._compile_vector_chain() if columnar is not None else None
+            self._compile_vector_chain() if config.columnar else None
         )
 
     def _compile_vector_chain(self):
@@ -801,7 +674,7 @@ class ParallelMapNode(PlanNode):
 
         run_parallel = (
             config.parallel
-            and len(rows) >= config.min_partition_rows
+            and len(rows) >= config.partition_rows
             and len(morsels) > 1
         )
         if run_parallel:
@@ -856,7 +729,7 @@ class ParallelHashJoinNode(HashJoinNode):
     label = "ParallelHashJoin"
 
     def __init__(self, left: PlanNode, right: PlanNode,
-                 left_key: str, right_key: str, config: ParallelConfig):
+                 left_key: str, right_key: str, config: ExecConfig):
         super().__init__(left, right, left_key, right_key)
         self._config = config
 
@@ -916,7 +789,7 @@ class ParallelHashJoinNode(HashJoinNode):
         pool = executor_for(config.workers)
 
         build_morsels = _morsels(right_rows, config.morsel_size)
-        if len(right_rows) >= config.min_partition_rows and len(build_morsels) > 1:
+        if len(right_rows) >= config.partition_rows and len(build_morsels) > 1:
             parts = [
                 future.result()
                 for future in [
@@ -952,7 +825,7 @@ class ParallelHashJoinNode(HashJoinNode):
             return
 
         probe_morsels = _morsels(left_rows, config.morsel_size)
-        if len(left_rows) >= config.min_partition_rows and len(probe_morsels) > 1:
+        if len(left_rows) >= config.partition_rows and len(probe_morsels) > 1:
             results = [
                 future.result()
                 for future in [
@@ -1002,10 +875,8 @@ def _leaf_op(node: PlanNode) -> bool:
 
 def parallelize_plan(
     root: PlanNode,
-    config: ParallelConfig,
+    config: ExecConfig,
     log: list[str] | None = None,
-    *,
-    columnar: ColumnarConfig | None = None,
 ) -> tuple[PlanNode, list[str]]:
     """Rewrite a plan for morsel-parallel execution; serial-identical output.
 
@@ -1017,7 +888,7 @@ def parallelize_plan(
     recursively.  The rewrite preserves schemas and never touches the
     interior of a CacheNode (its child belongs to another LazyRowSet).
 
-    When ``columnar`` is given, each :class:`ParallelMapNode` additionally
+    When ``config.columnar`` is set, each :class:`ParallelMapNode` also
     compiles its chain for column-batch morsels (see the class docstring);
     subtrees already on the columnar backend are left untouched.
     """
@@ -1048,9 +919,7 @@ def parallelize_plan(
             elif _leaf_op(cursor):
                 leaf = cursor
             if leaf is not None:
-                wrapped = ParallelMapNode(
-                    node, leaf, chain, sample, config, columnar=columnar
-                )
+                wrapped = ParallelMapNode(node, leaf, chain, sample, config)
                 log.append(
                     f"parallelize: {len(chain)}-op chain over "
                     f"{leaf.describe()} → morsels "

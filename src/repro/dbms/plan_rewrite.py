@@ -20,7 +20,8 @@ user sees and can undo (``Session.optimize`` →
 
 from __future__ import annotations
 
-from repro.dbms.columnar import NUMPY_DTYPES, ColumnarConfig
+from repro.config import ExecConfig
+from repro.dbms.columnar import NUMPY_DTYPES
 from repro.dbms.expr_compile import compile_predicate
 from repro.dbms.plan import (
     CacheNode,
@@ -51,33 +52,31 @@ __all__ = ["optimize_plan", "columnarize_plan"]
 
 
 def optimize_plan(
-    root: PlanNode, log: list[str] | None = None, *, parallel=None,
-    columnar: ColumnarConfig | None = None,
+    root: PlanNode, config: ExecConfig, log: list[str] | None = None
 ) -> tuple[PlanNode, list[str]]:
     """Select execution backends for a plan; returns (new root, log).
 
     Only apply this to plans that have not started executing.  When
-    ``parallel`` (a :class:`repro.dbms.plan_parallel.ParallelConfig`)
-    enables multiple workers, a parallelize pass wraps morsel-friendly
-    subtrees in parallel operators; when ``columnar`` (a
-    :class:`repro.dbms.columnar.ColumnarConfig`) is given,
-    :func:`columnarize_plan` then swaps profitable subtrees onto the
-    vectorized backend.  Output rows, order, and schemas are unchanged.
+    ``config`` enables multiple workers, a parallelize pass wraps
+    morsel-friendly subtrees in parallel operators; when it enables the
+    columnar backend, :func:`columnarize_plan` then swaps profitable
+    subtrees onto vectorized kernels.  Output rows, order, and schemas are
+    unchanged.
 
     Rewrite safety: the optimized plan must produce the same schema as the
     original (checked unconditionally), and when a plan verifier is
-    installed (``REPRO_PLAN_VERIFY=1``) the whole rewritten tree is
+    installed (``ExecConfig.verify``) the whole rewritten tree is
     re-verified against the plan-IR invariants.
     """
     if log is None:
         log = []
     original_schema = root.schema
-    if parallel is not None and parallel.parallel:
+    if config.parallel:
         from repro.dbms.plan_parallel import parallelize_plan
 
-        root, log = parallelize_plan(root, parallel, log, columnar=columnar)
-    if columnar is not None:
-        root, log = columnarize_plan(root, columnar, log)
+        root, log = parallelize_plan(root, config, log)
+    if config.columnar:
+        root, log = columnarize_plan(root, config, log)
     if root.schema != original_schema:
         raise StaticAnalysisError(
             f"plan rewrite changed the root schema from {original_schema!r} "
@@ -155,7 +154,7 @@ def _columnar_worthwhile(node: PlanNode) -> bool:
 
 
 def columnarize_plan(
-    root: PlanNode, config: ColumnarConfig, log: list[str] | None = None
+    root: PlanNode, config: ExecConfig, log: list[str] | None = None
 ) -> tuple[PlanNode, list[str]]:
     """Select the columnar backend per subtree; returns (new root, log).
 
@@ -166,7 +165,9 @@ def columnarize_plan(
     kernel keeps its serial original as a ``template`` so executed row
     counters fold back where external callers look for them.  Leaves,
     Cache boundaries, and parallel operators stop the walk; everything
-    outside a region stays on the row backend untouched.  Row output, ordering, and schemas are invariant.
+    outside a region stays on the row backend untouched.  Row output,
+    ordering, and schemas are invariant; adapters batch at
+    ``config.batch_rows``.
     """
     if log is None:
         log = []

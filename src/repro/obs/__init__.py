@@ -47,15 +47,10 @@ from repro.obs.flightrec import (
 )
 from repro.obs.lineage import (
     LINEAGE_SCHEMA,
-    LineageConfig,
     LineageStore,
     active_lineage,
-    default_lineage_config,
     lineage_capture,
-    lineage_config_from_env,
     render_why,
-    resolve_lineage_config,
-    set_default_lineage_config,
     why,
 )
 from repro.obs.log import (
@@ -99,7 +94,6 @@ from repro.obs.trace import (
     Tracer,
     current_trace_context,
     current_tracer,
-    install_from_env,
     push_tracer,
     set_tracer,
     thread_trace_contexts,
@@ -124,7 +118,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonFormatter",
-    "LineageConfig",
     "LineageStore",
     "MetricsRecorder",
     "MetricsRegistry",
@@ -148,24 +141,19 @@ __all__ = [
     "current_tracer",
     "declarations",
     "declare",
-    "default_lineage_config",
     "diff_bench",
     "diff_bench_files",
     "empty_run_summary",
     "get_logger",
     "global_registry",
     "install_flight_recorder",
-    "install_from_env",
     "lineage_capture",
-    "lineage_config_from_env",
     "note_engine_error",
     "push_tracer",
     "render_diff",
     "render_tree",
     "render_why",
-    "resolve_lineage_config",
     "run_summary",
-    "set_default_lineage_config",
     "set_tracer",
     "thread_trace_contexts",
     "tracing",

@@ -112,13 +112,10 @@ def record_figure_telemetry(
     renders, which is what gives the delta/rate series their time axis.
     Returns the recorder and the tracer holding the spans.
     """
+    from repro.config import exec_config, use_config
     from repro.core import scenarios as _scenarios
     from repro.data.weather import build_weather_database
-    from repro.dbms.plan_parallel import (
-        resolve_config,
-        result_cache,
-        set_default_config,
-    )
+    from repro.dbms.plan_parallel import result_cache
 
     builders = {
         "fig1": _scenarios.build_fig1_table_view,
@@ -152,17 +149,14 @@ def record_figure_telemetry(
     from repro.dataflow.engine import EngineStats
 
     session.engine.stats = EngineStats(global_registry())
-    previous = set_default_config(resolve_config(workers=workers))
-    try:
-        with push_tracer(tracer):
+    cache = exec_config().cache or workers >= 2
+    with use_config(workers=workers, cache=cache), push_tracer(tracer):
+        recorder.sample()
+        session.engine.invalidate()  # cold first pass: real fires
+        for _ in range(renders):
+            for name in sorted(session.windows):
+                session.window(name).render()
             recorder.sample()
-            session.engine.invalidate()  # cold first pass: real fires
-            for _ in range(renders):
-                for name in sorted(session.windows):
-                    session.window(name).render()
-                recorder.sample()
-    finally:
-        set_default_config(previous)
     return recorder, tracer
 
 

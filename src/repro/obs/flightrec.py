@@ -20,7 +20,6 @@ one JSON record; see ``docs/OBSERVABILITY.md``).
 from __future__ import annotations
 
 import json
-import os
 import threading
 from collections import deque
 from pathlib import Path
@@ -144,7 +143,9 @@ class FlightRecorder:
         window accounting, then one line per record, oldest first.
         """
         if path is None:
-            path = os.environ.get("REPRO_FLIGHT_DUMP", _DEFAULT_DUMP)
+            from repro.config import flight_dump_path
+
+            path = flight_dump_path(_DEFAULT_DUMP)
         path = Path(path)
         with self._lock:
             records = list(self._records)
@@ -213,13 +214,3 @@ def note_engine_error(exc: BaseException, **context: Any) -> None:
         recorder.dump_jsonl()
     except OSError:  # pragma: no cover - unwritable dump path
         pass
-
-
-def install_from_env(environ=None) -> bool:
-    """Install a fresh recorder when ``REPRO_FLIGHT=1`` (package init hook)."""
-    if environ is None:
-        environ = os.environ
-    if environ.get("REPRO_FLIGHT") == "1":
-        install_flight_recorder(FlightRecorder())
-        return True
-    return False

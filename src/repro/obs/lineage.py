@@ -5,8 +5,9 @@ marks, and a user pointing at a mark is asking which tuples produced it
 (Psallidas & Wu, "Provenance for Interactive Visualizations").  This module
 supplies that inverse in two halves:
 
-* **Capture.**  While a capture is active (``Engine(lineage=True)``,
-  ``REPRO_LINEAGE=1``, or the :func:`lineage_capture` context manager),
+* **Capture.**  While a capture is active (``ExecConfig.lineage`` —
+  ``use_config(lineage=True)`` or ``REPRO_LINEAGE=1`` — or the
+  :func:`lineage_capture` context manager),
   identity-*breaking* physical operators — Project, Rename, GroupBy, the
   joins, Union, and their columnar kernels — record output-tuple →
   input-tuple mappings into a compact per-node :class:`LineageStore`.
@@ -36,24 +37,20 @@ with the existing registry; see docs/OBSERVABILITY.md.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Any, Iterator
 
+from repro.config import exec_config
 from repro.obs.metrics import global_registry
 from repro.obs.trace import current_tracer
 
 __all__ = [
     "LINEAGE_SCHEMA",
-    "LineageConfig",
+    "CaptureState",
     "LineageStore",
-    "lineage_config_from_env",
-    "default_lineage_config",
-    "set_default_lineage_config",
-    "resolve_lineage_config",
-    "install_from_env",
     "lineage_capture",
     "active_lineage",
+    "set_active_lineage",
     "why",
     "render_why",
     "MAPPINGS_COUNTER",
@@ -64,10 +61,6 @@ __all__ = [
 LINEAGE_SCHEMA = "repro.lineage/1"
 """Schema tag of the document :func:`why` returns (docs/OBSERVABILITY.md)."""
 
-DEFAULT_MAX_MAPPINGS = 1_000_000
-"""Per-node ring capacity: a store holding this many mappings evicts its
-oldest entry for each new one (counted in ``lineage.dropped``)."""
-
 #: Counter declaration tuples, importable by ``repro stats`` so cold JSON
 #: output pre-registers the lineage counters (the PROOFS_COUNTER pattern).
 MAPPINGS_COUNTER = (
@@ -77,81 +70,18 @@ DROPPED_COUNTER = (
 WALKS_COUNTER = ("lineage.walks", "why-provenance walks performed")
 
 
-class LineageConfig:
-    """Knobs for lineage capture (mirrors ``ColumnarConfig``)."""
-
-    __slots__ = ("max_mappings",)
-
-    def __init__(self, max_mappings: int = DEFAULT_MAX_MAPPINGS):
-        self.max_mappings = max(1, int(max_mappings))
-
-    def __repr__(self) -> str:
-        return f"LineageConfig(max_mappings={self.max_mappings})"
-
-
-def lineage_config_from_env(environ=None) -> LineageConfig | None:
-    """Read ``REPRO_LINEAGE`` / ``REPRO_LINEAGE_MAX``.
-
-    Unset, empty, or ``0`` means off (``None``); anything else enables
-    capture with the (optionally overridden) per-node ring capacity.
-    """
-    env = os.environ if environ is None else environ
-    raw = env.get("REPRO_LINEAGE", "")
-    if raw in ("", "0"):
-        return None
-    try:
-        max_mappings = int(
-            env.get("REPRO_LINEAGE_MAX", str(DEFAULT_MAX_MAPPINGS)))
-    except ValueError:
-        max_mappings = DEFAULT_MAX_MAPPINGS
-    return LineageConfig(max_mappings=max_mappings)
-
-
-_DEFAULT_CONFIG: LineageConfig | None = None
-
-
-def default_lineage_config() -> LineageConfig | None:
-    """The process-wide lineage config (``None`` = capture off)."""
-    return _DEFAULT_CONFIG
-
-
-def set_default_lineage_config(
-        config: LineageConfig | None) -> LineageConfig | None:
-    """Install a process default; returns the previous one (for restore)."""
-    global _DEFAULT_CONFIG
-    previous = _DEFAULT_CONFIG
-    _DEFAULT_CONFIG = config
-    return previous
-
-
-def resolve_lineage_config(lineage=None) -> LineageConfig | None:
-    """Resolve the ``Engine(lineage=...)`` knob against the process default.
-
-    ``None`` inherits the default; ``False`` forces capture off; ``True``
-    enables capture (reusing the default's cap when one is installed); a
-    :class:`LineageConfig` passes through.
-    """
-    if lineage is None:
-        return default_lineage_config()
-    if isinstance(lineage, LineageConfig):
-        return lineage
-    if lineage:
-        return default_lineage_config() or LineageConfig()
-    return None
-
-
-class _CaptureState:
-    """One active capture: a config plus recording tallies.
+class CaptureState:
+    """One active capture: a ring capacity plus recording tallies.
 
     Tallies are plain ints bumped without a lock — morsel workers may race
     on them, which can undercount a metric but never corrupt a store (each
     morsel's rebuilt nodes own private stores, merged on the main thread).
     """
 
-    __slots__ = ("config", "recorded", "dropped")
+    __slots__ = ("max_mappings", "recorded", "dropped")
 
-    def __init__(self, config: LineageConfig):
-        self.config = config
+    def __init__(self, max_mappings: int):
+        self.max_mappings = max(1, int(max_mappings))
         self.recorded = 0
         self.dropped = 0
 
@@ -168,46 +98,39 @@ class _CaptureState:
 
 #: The active capture, or None.  A single global read is the entire
 #: disabled-path cost (the tracer's ``enabled`` pattern).
-_ACTIVE: _CaptureState | None = None
+_ACTIVE: CaptureState | None = None
 
 
-def active_lineage() -> _CaptureState | None:
+def active_lineage() -> CaptureState | None:
     """The active capture state, if any (hot-path check for operators)."""
     return _ACTIVE
 
 
-def install_from_env() -> bool:
-    """Adopt ``REPRO_LINEAGE`` as a process-wide always-on capture."""
+def set_active_lineage(state: CaptureState | None) -> None:
+    """Install ``state`` as the always-on capture (None clears it).
+    :func:`repro.config.use_config` drives this from ``ExecConfig.lineage``."""
     global _ACTIVE
-    config = lineage_config_from_env()
-    if config is None:
-        return False
-    set_default_lineage_config(config)
-    _ACTIVE = _CaptureState(config)
-    return True
+    _ACTIVE = state
 
 
 @contextmanager
-def lineage_capture(config: LineageConfig | bool | None = True):
+def lineage_capture(max_mappings: int | None = None):
     """Activate lineage capture for the duration of the block.
 
-    Plans executed inside record per-node mappings; the capture's tallies
+    Plans executed inside record per-node mappings into rings of
+    ``max_mappings`` (default: the process config's); the capture's tallies
     are flushed to the ``lineage.*`` counters at exit.  Yields the capture
-    state (or None when the resolved config disables capture).
+    state.
     """
     global _ACTIVE
-    resolved = resolve_lineage_config(config)
-    if resolved is None:
-        yield None
-        return
-    state = _CaptureState(resolved)
+    state = CaptureState(exec_config().max_mappings if max_mappings is None
+                         else max_mappings)
     previous = _ACTIVE
     _ACTIVE = state
     tracer = current_tracer()
     span = None
     if tracer.enabled:
-        span = tracer.span("lineage.capture",
-                           max_mappings=resolved.max_mappings)
+        span = tracer.span("lineage.capture", max_mappings=state.max_mappings)
         span.__enter__()
     try:
         yield state
@@ -224,7 +147,7 @@ class LineageStore:
 
     Keys are output-tuple *identities* (``id``); entries pin the output
     object strongly so an id can never be reused while its mapping lives.
-    The store is a FIFO ring of at most ``config.max_mappings`` entries —
+    The store is a FIFO ring of at most ``state.max_mappings`` entries —
     recording past capacity evicts the oldest mapping and counts it in the
     capture's ``dropped`` tally.  ``tag`` carries operator-specific routing
     (Union stores the child index the row streamed from).
@@ -232,7 +155,7 @@ class LineageStore:
 
     __slots__ = ("state", "_map")
 
-    def __init__(self, state: _CaptureState):
+    def __init__(self, state: CaptureState):
         self.state = state
         # id(out) -> (out, inputs, tag); dicts preserve insertion order,
         # which is all the FIFO ring needs.
@@ -244,7 +167,7 @@ class LineageStore:
     def record(self, out: Any, inputs: tuple, tag: Any = None) -> None:
         """Map one output tuple to the input tuple(s) that produced it."""
         state = self.state
-        if len(self._map) >= state.config.max_mappings:
+        if len(self._map) >= state.max_mappings:
             self._map.pop(next(iter(self._map)))
             state.dropped += 1
         self._map[id(out)] = (out, inputs, tag)
@@ -317,7 +240,7 @@ class _Walker:
                     break
             if index is None:
                 raise
-            with lineage_capture(True):
+            with lineage_capture():
                 replayed = list(lazy.plan.rows_iter())
             if index >= len(replayed):
                 raise

@@ -40,7 +40,6 @@ The span taxonomy emitted by the instrumented modules is cataloged in
 
 from __future__ import annotations
 
-import os
 import threading
 import uuid
 from contextlib import contextmanager
@@ -58,7 +57,6 @@ __all__ = [
     "set_tracer",
     "push_tracer",
     "tracing",
-    "install_from_env",
     "current_trace_context",
     "thread_trace_contexts",
 ]
@@ -496,13 +494,3 @@ def tracing(max_spans: int = 200_000) -> Iterator[Tracer]:
     """Convenience: install a fresh enabled tracer for the block."""
     with push_tracer(Tracer(enabled=True, max_spans=max_spans)) as tracer:
         yield tracer
-
-
-def install_from_env(environ=None) -> bool:
-    """Enable the global tracer when ``REPRO_TRACE=1`` (package init hook)."""
-    if environ is None:
-        environ = os.environ
-    if environ.get("REPRO_TRACE") == "1":
-        _GLOBAL_TRACER.enabled = True
-        return True
-    return False

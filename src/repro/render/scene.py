@@ -20,10 +20,10 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from repro.dbms.columnar import default_columnar_config
+from repro.config import exec_config
 from repro.dbms.expr import Binary, FieldRef, Literal
 from repro.dbms.plan import RestrictNode, source_plan
-from repro.dbms.plan_parallel import default_config, execute_plan
+from repro.dbms.plan_parallel import execute_plan
 from repro.dbms.tuples import Tuple
 from repro.dbms import types as T
 from repro.display.displayable import (
@@ -477,8 +477,9 @@ def _try_fast_scatter(
 def _execute_cull_plan(viewport_node, slider_node):
     """Run a synthesized cull plan, parallel- and cache-aware.
 
-    With no process-wide parallel or columnar config this is a plain serial
-    execution.  Otherwise the plan runs through :func:`execute_plan`: it
+    Under a plain process config (:func:`repro.config.exec_config`, the
+    value engine demand reads too) this is a serial execution of the plan
+    as built.  Otherwise the plan runs through :func:`execute_plan`: it
     may be morsel-parallelized or columnarized (output order and row
     identity are preserved — columnar Restrict selects from cached
     whole-source batches that hand back the original Tuple objects — so
@@ -488,15 +489,14 @@ def _execute_cull_plan(viewport_node, slider_node):
     carries the synthesized Restricts' counters so SceneStats stays exact
     on a hit.
     """
-    config = default_config()
-    columnar = default_columnar_config()
-    if config is None and columnar is None:
+    config = exec_config()
+    if config.plain:
         return list(viewport_node.rows_iter())
 
     counted = [node for node in (slider_node, viewport_node)
                if node is not None]
     rows, meta, status = execute_plan(
-        viewport_node, lambda root: list(root.rows_iter()), config, columnar,
+        viewport_node, lambda root: list(root.rows_iter()), config,
         meta=lambda: [(node.stats.rows_in, node.stats.rows_out)
                       for node in counted],
     )

@@ -67,13 +67,13 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
+from repro.config import use_config
 from repro.dataflow.serialize import program_to_dict
 from repro.dbms.catalog import Database
-from repro.dbms.plan_parallel import resolve_config, set_default_config
 from repro.errors import TiogaError
 from repro.obs.flightrec import current_flight_recorder
 from repro.obs.log import ACCESS_LOGGER, get_logger
@@ -242,7 +242,7 @@ class TiogaServer:
             max_workers=pool_workers, thread_name_prefix="tioga-exec")
         self._asyncio_server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
-        self._previous_config: Any = None
+        self._config_scope = ExitStack()
         self._recorder = MetricsRecorder(self.registry)
         #: Request observability: the server owns a tracer (installed as the
         #: process tracer while running), a continuous profiler, and the
@@ -491,7 +491,7 @@ class TiogaServer:
         """Bind the port and begin accepting connections."""
         # Cross-session cache sharing: every hosted session executes under
         # a caching config, restored on stop.
-        self._previous_config = set_default_config(resolve_config(cache=True))
+        self._config_scope.enter_context(use_config(cache=True))
         if self.tracer is not None:
             # The engine/render layers trace through the process tracer;
             # installing ours for the server's lifetime is what stitches
@@ -530,7 +530,7 @@ class TiogaServer:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._connections.clear()
         self._pool.shutdown(wait=True)
-        set_default_config(self._previous_config)
+        self._config_scope.close()
         if self.profiler is not None:
             self.profiler.stop()
         if self.tracer is not None:

@@ -14,13 +14,11 @@ from repro.analyze.absint import (
     HazardProofs,
     Interval,
     abstract_eval,
-    absint_enabled,
     analyze_hazards,
     check_program_deep,
     env_from_stats,
-    install_from_env,
     plan_column_facts,
-    set_absint_enabled,
+    prove_plan_predicate,
     top_env,
 )
 from repro.analyze.diagnostics import CODES, register_code
@@ -28,11 +26,10 @@ from repro.analyze.planverify import assert_valid_plan, verify_plan
 from repro.dbms import plan as P
 from repro.dbms import types as T
 from repro.dbms.catalog import stats_for
-from repro.dbms.columnar import ColumnarConfig
+from repro.config import ExecConfig, from_env, use_config
 from repro.dbms.expr import Binary, Call, FieldRef, Literal
 from repro.dbms.parser import parse_expression, parse_predicate
 from repro.dbms.plan_parallel import (
-    ParallelConfig,
     ParallelHashJoinNode,
     ParallelMapNode,
     parallelize_plan,
@@ -58,12 +55,20 @@ def ev(source: str, env=None, schema: Schema = NUMS, proofs=None):
     )
 
 
+COLUMNAR = ExecConfig(columnar=True)
+
+
 @pytest.fixture(autouse=True)
 def _absint_off():
     """Every test starts (and ends) with the interpreter uninstalled."""
-    set_absint_enabled(False)
-    yield
-    set_absint_enabled(False)
+    with use_config(absint=False):
+        yield
+
+
+@pytest.fixture
+def absint_on():
+    with use_config(absint=True):
+        yield
 
 
 class TestInterval:
@@ -308,22 +313,21 @@ class TestGuardElision:
         return P.RestrictNode(scan, parse_predicate(self.PREDICATE, NUMS))
 
     def test_rows_identical_with_and_without(self):
-        config = ColumnarConfig(batch_rows=16)
+        config = ExecConfig(columnar=True, batch_rows=16)
         baseline, _ = columnarize_plan(self._plan(), config)
         rows_off = list(baseline.execute())
-        set_absint_enabled(True)
-        proven, _ = columnarize_plan(self._plan(), config)
-        rows_on = list(proven.execute())
+        with use_config(absint=True):
+            proven, _ = columnarize_plan(self._plan(), config)
+            rows_on = list(proven.execute())
         assert rows_on == rows_off
 
-    def test_proof_attached_and_counters_advance(self):
+    def test_proof_attached_and_counters_advance(self, absint_on):
         proofs_before = global_registry().counter(
             *absint.PROOFS_COUNTER).value()
         from repro.dbms.expr_compile import ELIDED_COUNTER
 
         elided_before = global_registry().counter(*ELIDED_COUNTER).value()
-        set_absint_enabled(True)
-        plan, _ = columnarize_plan(self._plan(), ColumnarConfig())
+        plan, _ = columnarize_plan(self._plan(), COLUMNAR)
         restrict = plan.children[0]
         assert isinstance(restrict, P.ColumnarRestrictNode)
         assert restrict.proof is not None and "div_zero" in restrict.proof
@@ -332,30 +336,25 @@ class TestGuardElision:
         assert global_registry().counter(
             *ELIDED_COUNTER).value() > elided_before
 
-    def test_explain_text_shows_proof(self):
-        set_absint_enabled(True)
-        plan, _ = columnarize_plan(self._plan(), ColumnarConfig())
+    def test_explain_text_shows_proof(self, absint_on):
+        plan, _ = columnarize_plan(self._plan(), COLUMNAR)
         assert "proof=" in P.explain_plan(plan)
 
-    def test_explain_json_shows_proof(self):
+    def test_explain_json_shows_proof(self, absint_on):
         from repro.dataflow.explain import _plan_to_dict
 
-        set_absint_enabled(True)
-        plan, _ = columnarize_plan(self._plan(), ColumnarConfig())
+        plan, _ = columnarize_plan(self._plan(), COLUMNAR)
         tree = _plan_to_dict(plan, [0])
         assert tree["children"][0]["proof"]
 
     def test_no_proof_without_interpreter(self):
-        plan, _ = columnarize_plan(self._plan(), ColumnarConfig())
+        plan, _ = columnarize_plan(self._plan(), COLUMNAR)
         assert plan.children[0].proof is None
         assert "proof=" not in P.explain_plan(plan)
 
-    def test_parallel_map_carries_proof(self):
-        set_absint_enabled(True)
-        config = ParallelConfig(workers=2, morsel_size=8)
-        plan, _ = parallelize_plan(
-            self._plan(), config, columnar=ColumnarConfig()
-        )
+    def test_parallel_map_carries_proof(self, absint_on):
+        config = ExecConfig(workers=2, morsel_size=8, columnar=True)
+        plan, _ = parallelize_plan(self._plan(), config)
         assert isinstance(plan, ParallelMapNode)
         assert plan.proof is not None and "div_zero" in plan.proof
         rows = list(plan.execute())
@@ -363,17 +362,19 @@ class TestGuardElision:
         assert rows == serial
 
     def test_enable_disable_roundtrip(self):
-        assert absint_enabled() is False
-        assert set_absint_enabled(True) is False
-        assert absint_enabled() is True
-        assert set_absint_enabled(False) is True
-        assert absint_enabled() is False
+        assert P.plan_annotator() is None
+        with use_config(absint=True):
+            assert P.plan_annotator() is prove_plan_predicate
+            with use_config(absint=False):
+                assert P.plan_annotator() is None
+            assert P.plan_annotator() is prove_plan_predicate
+        assert P.plan_annotator() is None
 
     def test_install_from_env(self):
-        assert install_from_env({}) is False
-        assert not absint_enabled()
-        assert install_from_env({"REPRO_ABSINT": "1"}) is True
-        assert absint_enabled()
+        with use_config(from_env({})):
+            assert P.plan_annotator() is None
+        with use_config(from_env({"REPRO_ABSINT": "1"})):
+            assert P.plan_annotator() is prove_plan_predicate
 
 
 class TestCertifiedRewrites:
@@ -381,8 +382,7 @@ class TestCertifiedRewrites:
     selection never removes or prunes operators, so EXPLAIN trees are
     identical with the interpreter on or off."""
 
-    def test_optimize_plan_keeps_dead_restricts_when_enabled(self):
-        set_absint_enabled(True)
+    def test_optimize_plan_keeps_dead_restricts_when_enabled(self, absint_on):
         previous = P.plan_verifier()
         P.set_plan_verifier(assert_valid_plan)
         try:
@@ -393,7 +393,7 @@ class TestCertifiedRewrites:
                 P.ScanNode(num_rows(10)), parse_predicate("n > 100", NUMS)
             )
             for plan in (always_true, always_false):
-                optimized, log = optimize_plan(plan)
+                optimized, log = optimize_plan(plan, ExecConfig())
                 assert optimized is plan and log == []
         finally:
             P.set_plan_verifier(previous)
@@ -402,7 +402,7 @@ class TestCertifiedRewrites:
         plan = P.RestrictNode(
             P.ScanNode(num_rows(10)), parse_predicate("n >= 0", NUMS)
         )
-        optimized, log = optimize_plan(plan)
+        optimized, log = optimize_plan(plan, ExecConfig())
         assert not any("absint" in line for line in log)
 
 
@@ -439,7 +439,7 @@ class TestRaceLint:
 
     def _parallel(self, chain_root, leaf, chain, sample=None):
         return ParallelMapNode(
-            chain_root, leaf, chain, sample, ParallelConfig(workers=2)
+            chain_root, leaf, chain, sample, ExecConfig(workers=2)
         )
 
     def test_clean_region_verifies(self):
@@ -447,7 +447,7 @@ class TestRaceLint:
             P.ScanNode(num_rows(100)), parse_predicate("n < 50", NUMS)
         )
         wrapped, _ = parallelize_plan(
-            plan, ParallelConfig(workers=2, morsel_size=8)
+            plan, ExecConfig(workers=2, morsel_size=8)
         )
         assert isinstance(wrapped, ParallelMapNode)
         report = verify_plan(wrapped)
@@ -474,7 +474,7 @@ class TestRaceLint:
             P.ScanNode(num_rows(100)), parse_predicate("n < 50", NUMS)
         )
         wrapped, _ = parallelize_plan(
-            plan, ParallelConfig(workers=2, morsel_size=8)
+            plan, ExecConfig(workers=2, morsel_size=8)
         )
         assert not isinstance(wrapped, ParallelMapNode)
 

@@ -8,9 +8,9 @@ import pytest
 
 from repro.analyze.planverify import (
     assert_valid_plan,
-    install_from_env,
     verify_plan,
 )
+from repro.config import ExecConfig, from_env, use_config
 from repro.dbms import plan as P
 from repro.dbms.parser import parse_predicate
 from repro.dbms.plan_rewrite import optimize_plan
@@ -142,41 +142,44 @@ class TestRewriteSafety:
         plan = P.ProjectNode(
             restrict_over(num_rows(100), "n < 50"), ["n"]
         )
-        optimized, _log = optimize_plan(plan)
+        optimized, _log = optimize_plan(plan, ExecConfig())
         assert verify_plan(optimized).ok
         # Rewrites preserve the root schema.
         assert optimized.schema.names == ("n",)
 
     def test_optimizer_runs_installed_verifier(self):
         calls = []
+        previous = P.plan_verifier()
         P.set_plan_verifier(lambda node: calls.append(node))
         try:
-            optimize_plan(restrict_over(num_rows(10), "n < 5"))
+            optimize_plan(restrict_over(num_rows(10), "n < 5"), ExecConfig())
         finally:
-            P.set_plan_verifier(None)
+            P.set_plan_verifier(previous)
         assert calls  # the verifier hook observed the optimized plan
 
 
 class TestEnvironmentHook:
-    def teardown_method(self):
-        P.set_plan_verifier(None)
+    @pytest.fixture(autouse=True)
+    def _verifier_off(self):
+        with use_config(verify=False):
+            yield
 
     def test_install_from_env_off(self):
-        assert install_from_env({}) is False
-        assert P.plan_verifier() is None
+        with use_config(from_env({})):
+            assert P.plan_verifier() is None
 
     def test_install_from_env_on(self):
-        assert install_from_env({"REPRO_PLAN_VERIFY": "1"}) is True
-        assert P.plan_verifier() is not None
+        with use_config(from_env({"REPRO_PLAN_VERIFY": "1"})):
+            assert P.plan_verifier() is assert_valid_plan
+        assert P.plan_verifier() is None
 
     def test_open_hook_rejects_corrupt_plan(self):
-        install_from_env({"REPRO_PLAN_VERIFY": "1"})
         plan = P.ProjectNode(P.ScanNode(num_rows(5)), ["n"])
         plan._names = ("ghost",)
-        with pytest.raises(StaticAnalysisError):
+        with use_config(verify=True), pytest.raises(StaticAnalysisError):
             plan.execute()
 
     def test_open_hook_passes_good_plan(self):
-        install_from_env({"REPRO_PLAN_VERIFY": "1"})
-        result = restrict_over(num_rows(10), "n < 4").execute()
+        with use_config(verify=True):
+            result = restrict_over(num_rows(10), "n < 4").execute()
         assert len(result) == 4

@@ -26,9 +26,26 @@ class TestFacadeSurface:
             assert name in api.__all__
 
     def test_parallel_knobs_exported(self):
-        for name in ("ParallelConfig", "config_from_env", "default_config",
-                     "set_default_config", "result_cache"):
+        for name in ("ExecConfig", "exec_config", "use_config",
+                     "result_cache"):
             assert name in api.__all__
+
+    def test_replaced_config_names_absent(self):
+        """One ExecConfig replaced the per-subsystem registries."""
+        removed = (
+            "ParallelConfig", "config_from_env", "default_config",
+            "set_default_config", "ColumnarConfig", "columnar_config_from_env",
+            "default_columnar_config", "set_default_columnar_config",
+            "LineageConfig", "lineage_config_from_env",
+            "default_lineage_config", "set_default_lineage_config",
+            "absint_enabled", "set_absint_enabled", "install_from_env",
+        )
+        import repro.obs as obs
+
+        for name in removed:
+            assert name not in api.__all__, name
+            assert not hasattr(api, name), name
+            assert not hasattr(obs, name), name
 
     def test_box_catalog_exported(self):
         for name in ("AddTableBox", "RestrictBox", "ProjectBox", "JoinBox",
@@ -76,9 +93,11 @@ class TestDeepImportsStillWork:
         assert DeepEngine is api.Engine
 
     def test_parallel_layer(self):
-        from repro.dbms.plan_parallel import ParallelConfig as DeepConfig
+        from repro.config import ExecConfig as DeepConfig
+        from repro.dbms.plan_parallel import result_cache as deep_cache
 
-        assert DeepConfig is api.ParallelConfig
+        assert DeepConfig is api.ExecConfig
+        assert deep_cache is api.result_cache
 
 
 class TestEndToEndThroughFacade:
@@ -88,7 +107,8 @@ class TestEndToEndThroughFacade:
         source = program.add_box(api.AddTableBox(table="Stations"))
         keep = program.add_box(api.RestrictBox(predicate="latitude > 40"))
         program.connect(source, "out", keep, "in")
-        engine = api.Engine(program, db, workers=4)
-        rows = engine.output_of(keep).rows.force()
+        engine = api.Engine(program, db)
+        with api.use_config(workers=4, cache=True):
+            rows = engine.output_of(keep).rows.force()
         assert rows
         assert all(row["latitude"] > 40 for row in rows)

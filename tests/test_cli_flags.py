@@ -12,7 +12,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.dbms.plan_parallel import default_config, result_cache
+from repro.config import exec_config
+from repro.dbms.plan_parallel import result_cache
 
 INSPECTION = ["lint", "explain", "stats", "trace", "render"]
 
@@ -52,9 +53,9 @@ class TestUniformParsing:
 
 class TestWorkersFlag:
     def test_workers_config_restored_after_run(self, capsys):
-        before = default_config()
+        before = exec_config()
         assert main(["explain", "--figure", "fig1", "--workers", "4"]) == 0
-        assert default_config() is before
+        assert exec_config() is before
         capsys.readouterr()
 
     def test_explain_json_reports_parallel_and_cache(self, capsys):
@@ -82,11 +83,9 @@ class TestWorkersFlag:
 
 class TestColumnarFlag:
     def test_columnar_config_restored_after_run(self, capsys):
-        from repro.dbms.columnar import default_columnar_config
-
-        before = default_columnar_config()
+        before = exec_config()
         assert main(["explain", "--figure", "fig1", "--columnar"]) == 0
-        assert default_columnar_config() is before
+        assert exec_config() is before
         capsys.readouterr()
 
     def test_explain_json_reports_columnar_backend(self, capsys):

@@ -15,17 +15,10 @@ import random
 import numpy as np
 import pytest
 
+from repro.config import ExecConfig, exec_config, use_config
 from repro.dbms import plan as P
 from repro.dbms import types as T
-from repro.dbms.columnar import (
-    ColumnBatch,
-    ColumnarConfig,
-    cached_batch,
-    columnar_config_from_env,
-    default_columnar_config,
-    resolve_columnar_config,
-    set_default_columnar_config,
-)
+from repro.dbms.columnar import ColumnBatch, cached_batch
 from repro.dbms.expr_compile import (
     VectorFallback,
     compile_expression,
@@ -39,6 +32,7 @@ from repro.dbms.tuples import Schema
 from repro.obs import global_registry
 
 NUMS = Schema([("n", "int"), ("x", "float"), ("label", "text")])
+COLUMNAR = ExecConfig(columnar=True)
 
 # Canonical declarations — must match the emitting kernels in repro.dbms.plan.
 _BATCHES = ("columnar.batches", "column batches produced by columnar kernels")
@@ -173,7 +167,7 @@ class TestExprCompile:
 
 
 def columnarized(root: P.PlanNode) -> P.PlanNode:
-    new_root, log = columnarize_plan(root, ColumnarConfig())
+    new_root, log = columnarize_plan(root, COLUMNAR)
     assert any("columnarized" in line for line in log), log
     return new_root
 
@@ -259,7 +253,7 @@ class TestKernelEquivalence:
         serial = values_of(P.RestrictNode(P.ScanNode(rows), pred))
         root, __ = columnarize_plan(
             P.RestrictNode(P.ScanNode(rows), pred),
-            ColumnarConfig(batch_rows=64))
+            ExecConfig(columnar=True, batch_rows=64))
         assert values_of(root) == serial
 
 
@@ -272,7 +266,7 @@ class TestBackendSelection:
     def test_log_names_the_selected_subtree(self):
         rows = num_rows(50)
         root, log = columnarize_plan(
-            P.OrderByNode(P.ScanNode(rows), ["n"]), ColumnarConfig())
+            P.OrderByNode(P.ScanNode(rows), ["n"]), COLUMNAR)
         assert isinstance(root, P.ToRowsNode)
         assert any("columnarized subtree at OrderBy" in line for line in log)
 
@@ -284,7 +278,7 @@ class TestBackendSelection:
                                parse_predicate("n > 0", NUMS)),
                 5,
             ),
-            ColumnarConfig(),
+            COLUMNAR,
         )
         assert type(root) is P.LimitNode          # stays on the row backend
         assert isinstance(root.children[0], P.ToRowsNode)
@@ -292,7 +286,7 @@ class TestBackendSelection:
     def test_text_sort_keys_not_worthwhile(self):
         rows = num_rows(50)
         root, log = columnarize_plan(
-            P.OrderByNode(P.ScanNode(rows), ["label"]), ColumnarConfig())
+            P.OrderByNode(P.ScanNode(rows), ["label"]), COLUMNAR)
         assert type(root) is P.OrderByNode
         assert log == []
 
@@ -303,7 +297,7 @@ class TestBackendSelection:
         serial.execute()
 
         template = P.RestrictNode(P.ScanNode(rows), pred)
-        root, __ = columnarize_plan(template, ColumnarConfig())
+        root, __ = columnarize_plan(template, COLUMNAR)
         root.execute()
         # The kernels fold rows_in/rows_out/opens into the serial nodes
         # they replaced, so EXPLAIN reads backend-independently.
@@ -318,7 +312,7 @@ class TestBackendSelection:
         rows = num_rows(100)
         root, __ = columnarize_plan(
             P.RestrictNode(P.ScanNode(rows), parse_predicate("n > 0", NUMS)),
-            ColumnarConfig())
+            COLUMNAR)
         root.execute()
         text = root.explain()
         assert "Restrict[(n > 0)] <columnar>" in text
@@ -326,7 +320,6 @@ class TestBackendSelection:
 
     def test_optimize_plan_composes_and_verifies(self):
         from repro.analyze.planverify import assert_valid_plan
-        from repro.dbms.plan_parallel import ParallelConfig
 
         rows = num_rows(2000)
         pred = parse_predicate("x > 0.0", NUMS)
@@ -336,9 +329,7 @@ class TestBackendSelection:
         try:
             root, log = optimize_plan(
                 P.RestrictNode(P.ScanNode(rows), pred),
-                parallel=ParallelConfig(workers=2, cache=False,
-                                        morsel_size=256),
-                columnar=ColumnarConfig(),
+                ExecConfig(workers=2, morsel_size=256, columnar=True),
             )
             assert values_of(root) == serial
         finally:
@@ -378,26 +369,15 @@ class TestPlanVerifierInvariants:
 
 
 class TestConfigKnobs:
-    def test_env_parsing(self):
-        assert columnar_config_from_env({}) is None
-        assert columnar_config_from_env({"REPRO_COLUMNAR": "0"}) is None
-        config = columnar_config_from_env({"REPRO_COLUMNAR": "1"})
-        assert isinstance(config, ColumnarConfig)
-        sized = columnar_config_from_env(
-            {"REPRO_COLUMNAR": "1", "REPRO_COLUMNAR_BATCH": "1024"})
-        assert sized.batch_rows == 1024
-
     def test_resolve_rules(self):
-        explicit = ColumnarConfig(batch_rows=7)
-        assert resolve_columnar_config(explicit) is explicit
-        assert resolve_columnar_config(False) is None
-        assert isinstance(resolve_columnar_config(True), ColumnarConfig)
-        previous = set_default_columnar_config(explicit)
-        try:
-            assert resolve_columnar_config(None) is explicit
-            assert default_columnar_config() is explicit
-        finally:
-            set_default_columnar_config(previous)
+        """An explicit config installs as given; ``columnar=False`` pins
+        the row backend without losing the other fields."""
+        explicit = ExecConfig(columnar=True, batch_rows=7)
+        with use_config(explicit) as installed:
+            assert installed == explicit == exec_config()
+            with use_config(columnar=False) as pinned:
+                assert not pinned.columnar and pinned.batch_rows == 7
+            assert exec_config() == explicit
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +402,9 @@ class TestEngineIntegration:
         program, keep = self.build(stations_db)
         serial = tuple(Engine(program, stations_db)
                        .output_of(keep, "out").rows.force())
-        columnar = tuple(Engine(program, stations_db, columnar=True)
-                         .output_of(keep, "out").rows.force())
+        with use_config(columnar=True):
+            columnar = tuple(Engine(program, stations_db)
+                             .output_of(keep, "out").rows.force())
         assert serial == columnar
 
     def test_explain_data_reports_backend_per_node(self, stations_db):
@@ -431,14 +412,14 @@ class TestEngineIntegration:
         from repro.dataflow.explain import explain_data
 
         program, keep = self.build(stations_db)
-        # workers=0 pins the plan serial even when a process-wide parallel
-        # default is installed (REPRO_PARALLEL=1 CI leg) — otherwise the
+        # workers=1 pins the plan serial even when a process-wide parallel
+        # config is installed (REPRO_PARALLEL=1 CI leg) — otherwise the
         # restrict chain rides inside ParallelMap morsels and the tree has
         # no standalone columnar node to report a backend for.
-        engine = Engine(program, stations_db, columnar=True, workers=0,
-                        cache=False)
-        engine.output_of(keep, "out").rows.force()
-        data = explain_data(program, engine=engine, box_id=keep)
+        with use_config(columnar=True, workers=1, cache=False):
+            engine = Engine(program, stations_db)
+            engine.output_of(keep, "out").rows.force()
+            data = explain_data(program, engine=engine, box_id=keep)
 
         def walk(tree):
             yield tree
@@ -486,17 +467,13 @@ def test_figure_pixels_identical_row_vs_columnar(weather_db, builder_name):
     build = getattr(scenarios, builder_name)
 
     def canvases(columnar: bool):
-        previous = set_default_columnar_config(
-            ColumnarConfig() if columnar else None)
-        try:
+        with use_config(columnar=columnar):
             scenario = build(weather_db)
             return {
                 name: window.render().pixels.copy()
                 for name, window in sorted(scenario.named.items())
                 if hasattr(window, "render")
             }
-        finally:
-            set_default_columnar_config(previous)
 
     row_pixels = canvases(columnar=False)
     col_pixels = canvases(columnar=True)

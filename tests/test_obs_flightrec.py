@@ -111,11 +111,11 @@ def test_note_engine_error_without_recorder_is_noop(tmp_path, monkeypatch):
     assert not (tmp_path / "f.jsonl").exists()
 
 
-def test_install_from_env(monkeypatch):
-    from repro.obs.flightrec import install_from_env
+def test_install_from_env():
+    from repro.config import configure_process, use_config
 
-    monkeypatch.delenv("REPRO_FLIGHT", raising=False)
-    assert install_from_env() is False
-    monkeypatch.setenv("REPRO_FLIGHT", "1")
-    assert install_from_env() is True
+    with use_config():
+        configure_process({})
+        assert current_flight_recorder() is None
+        configure_process({"REPRO_FLIGHT": "1"})
     assert isinstance(current_flight_recorder(), FlightRecorder)

@@ -18,30 +18,26 @@ from time import perf_counter
 import pytest
 
 from repro import cli
+from repro.config import ExecConfig, from_env, use_config
 from repro.dbms import plan as P
-from repro.dbms.columnar import ColumnarConfig
 from repro.dbms.parser import parse_predicate
-from repro.dbms.plan_parallel import ParallelConfig, parallelize_plan
+from repro.dbms.plan_parallel import parallelize_plan
 from repro.dbms.plan_rewrite import columnarize_plan
 from repro.dbms.relation import RowSet
 from repro.dbms.tuples import Schema
 from repro.obs import Tracer, push_tracer
 from repro.obs.lineage import (
-    DEFAULT_MAX_MAPPINGS,
     DROPPED_COUNTER,
     LINEAGE_SCHEMA,
     MAPPINGS_COUNTER,
     WALKS_COUNTER,
-    LineageConfig,
+    CaptureState,
     LineageStore,
     _Incomplete,
     _Walker,
     active_lineage,
     lineage_capture,
-    lineage_config_from_env,
     render_why,
-    resolve_lineage_config,
-    set_default_lineage_config,
     why,
 )
 from repro.obs.metrics import global_registry
@@ -71,42 +67,37 @@ def mark_center(window):
 class TestConfig:
     def test_env_off_means_none(self):
         for env in ({}, {"REPRO_LINEAGE": ""}, {"REPRO_LINEAGE": "0"}):
-            assert lineage_config_from_env(env) is None
+            with use_config(from_env(env)):
+                assert active_lineage() is None
 
     def test_env_on_with_cap_override(self):
-        config = lineage_config_from_env(
-            {"REPRO_LINEAGE": "1", "REPRO_LINEAGE_MAX": "123"})
-        assert config is not None
-        assert config.max_mappings == 123
-
-    def test_env_bad_cap_falls_back_to_default(self):
-        config = lineage_config_from_env(
-            {"REPRO_LINEAGE": "1", "REPRO_LINEAGE_MAX": "lots"})
-        assert config.max_mappings == DEFAULT_MAX_MAPPINGS
+        with use_config(from_env({"REPRO_LINEAGE": "1"}), max_mappings=123):
+            assert active_lineage() is not None
+            assert active_lineage().max_mappings == 123
 
     def test_cap_floor_is_one(self):
-        assert LineageConfig(max_mappings=0).max_mappings == 1
+        assert CaptureState(max_mappings=0).max_mappings == 1
 
     def test_resolve_trio_mirrors_columnar_convention(self):
-        previous = set_default_lineage_config(None)
-        try:
-            assert resolve_lineage_config(None) is None
-            assert resolve_lineage_config(False) is None
-            assert isinstance(resolve_lineage_config(True), LineageConfig)
-            explicit = LineageConfig(max_mappings=7)
-            assert resolve_lineage_config(explicit) is explicit
-            set_default_lineage_config(explicit)
-            assert resolve_lineage_config(None) is explicit
-            assert resolve_lineage_config(True) is explicit
-            assert resolve_lineage_config(False) is None
-        finally:
-            set_default_lineage_config(previous)
+        """``lineage`` overlays like ``columnar``: off, on with the current
+        cap, and an explicit config passes through."""
+        with use_config(lineage=False):
+            assert active_lineage() is None
+            with use_config(max_mappings=7):
+                with use_config(lineage=True) as enabled:
+                    assert active_lineage().max_mappings == 7
+                    assert enabled.max_mappings == 7
+            explicit = ExecConfig(lineage=True, max_mappings=9)
+            with use_config(explicit) as installed:
+                assert installed == explicit
+                assert active_lineage().max_mappings == 9
+            assert active_lineage() is None
 
 
 class TestStoreAndCapture:
     def test_record_and_identity_lookup(self):
         rows = list(data_rows(4))
-        with lineage_capture(LineageConfig()) as state:
+        with lineage_capture() as state:
             store = LineageStore(state)
             store.record(rows[2], (rows[0], rows[1]), tag=1)
             assert store.lookup(rows[2]) == ((rows[0], rows[1]), 1)
@@ -118,7 +109,7 @@ class TestStoreAndCapture:
 
     def test_ring_cap_evicts_oldest_and_counts_drops(self):
         rows = list(data_rows(6))
-        with lineage_capture(LineageConfig(max_mappings=2)) as state:
+        with lineage_capture(2) as state:
             store = LineageStore(state)
             for out in rows[:3]:
                 store.record(out, (rows[3],))
@@ -132,7 +123,7 @@ class TestStoreAndCapture:
         mappings = global_registry().counter(*MAPPINGS_COUNTER)
         dropped = global_registry().counter(*DROPPED_COUNTER)
         before = mappings.total(), dropped.total()
-        with lineage_capture(LineageConfig(max_mappings=2)) as state:
+        with lineage_capture(2) as state:
             store = LineageStore(state)
             for out in rows[:3]:
                 store.record(out, (rows[3],))
@@ -141,14 +132,14 @@ class TestStoreAndCapture:
         assert state.recorded == 0                       # tallies flushed
 
     def test_disabled_capture_yields_none(self):
-        with lineage_capture(False) as state:
-            assert state is None
+        with use_config(lineage=False):
+            assert active_lineage() is None
 
     def test_nested_captures_restore_previous(self):
         ambient = active_lineage()
-        with lineage_capture(True) as outer:
+        with lineage_capture() as outer:
             assert active_lineage() is outer
-            with lineage_capture(True) as inner:
+            with lineage_capture() as inner:
                 assert active_lineage() is inner
             assert active_lineage() is outer
         assert active_lineage() is ambient
@@ -159,7 +150,7 @@ class TestOperatorCapture:
         rows = data_rows(10)
         node = P.RestrictNode(
             P.ScanNode(rows, name="T"), parse_predicate("n % 2 == 0", DATA))
-        with lineage_capture(True) as state:
+        with lineage_capture() as state:
             out = list(node.rows_iter())
             assert state.recorded == 0
         stored = list(rows)
@@ -168,7 +159,7 @@ class TestOperatorCapture:
     def test_project_records_one_to_one(self):
         rows = data_rows(8)
         node = P.ProjectNode(P.ScanNode(rows, name="T"), ["n"])
-        with lineage_capture(True):
+        with lineage_capture():
             out = list(node.rows_iter())
         store = node.lineage
         assert store is not None and len(store) == len(out)
@@ -181,7 +172,7 @@ class TestOperatorCapture:
         rows = data_rows(9, groups=3)
         node = P.GroupByNode(
             P.ScanNode(rows, name="T"), ["g"], [("count", "n", "cnt")])
-        with lineage_capture(True):
+        with lineage_capture():
             out = list(node.rows_iter())
         store = node.lineage
         members = [store.lookup(o)[0] for o in out]
@@ -193,7 +184,7 @@ class TestOperatorCapture:
         left, right = data_rows(3), data_rows(4)
         node = P.UnionNode(
             P.ScanNode(left, name="L"), P.ScanNode(right, name="R"))
-        with lineage_capture(True):
+        with lineage_capture():
             out = list(node.rows_iter())
         walker = _Walker()
         walker.walk(node, out[0])
@@ -205,7 +196,7 @@ class TestOperatorCapture:
         node = P.HashJoinNode(
             P.ScanNode(left, name="L"), P.ScanNode(right, name="R"),
             "n", "n")
-        with lineage_capture(True):
+        with lineage_capture():
             out = list(node.rows_iter())
         walker = _Walker()
         walker.walk(node, out[0])
@@ -213,7 +204,7 @@ class TestOperatorCapture:
 
     def test_explain_annotates_store_sizes(self):
         node = P.ProjectNode(P.ScanNode(data_rows(5), name="T"), ["n"])
-        with lineage_capture(True):
+        with lineage_capture():
             list(node.rows_iter())
         assert "lineage=5" in P.explain_plan(node)
 
@@ -308,7 +299,7 @@ class TestCrossBackendProperty:
                 kept, ["g"], [("count", "n", "cnt"), ("sum", "v", "total")])
 
         def run(root: P.PlanNode):
-            with lineage_capture(True):
+            with lineage_capture():
                 return list(root.rows_iter())
 
         def base_rows(root: P.PlanNode, out, index: int):
@@ -324,14 +315,15 @@ class TestCrossBackendProperty:
         expected = base_rows(serial_root, serial_out, index)
         assert expected, "a group must trace to at least one base row"
 
-        columnar_root, __ = columnarize_plan(build(), ColumnarConfig())
+        columnar_root, __ = columnarize_plan(
+            build(), ExecConfig(columnar=True))
         columnar_out = run(columnar_root)
         assert columnar_out == serial_out
         assert base_rows(columnar_root, columnar_out, index) == expected
 
         parallel_root, __ = parallelize_plan(
             build(),
-            ParallelConfig(workers=4, morsel_size=16, min_partition_rows=1),
+            ExecConfig(workers=4, morsel_size=16, min_partition_rows=1),
         )
         parallel_out = run(parallel_root)
         assert parallel_out == serial_out
@@ -349,30 +341,32 @@ class TestEngineKnob:
         program.connect(src, "out", proj, "in")
         return program, proj
 
-    def test_lineage_kwarg_resolves_like_columnar(self, weather_db):
+    def test_engine_reads_lineage_at_force_time(self, weather_db):
+        """An engine built before ``use_config(lineage=...)`` follows it.
+        (The result cache stays off: a hit runs no plan, so records none.)"""
         from repro.dataflow.engine import Engine
 
-        previous = set_default_lineage_config(None)
-        try:
-            program, __ = self._program()
-            assert Engine(program, weather_db).lineage is None
-            enabled = Engine(program, weather_db, lineage=True)
-            assert isinstance(enabled.lineage, LineageConfig)
-            assert Engine(program, weather_db, lineage=False).lineage is None
-            explicit = LineageConfig(max_mappings=9)
-            assert Engine(
-                program, weather_db, lineage=explicit).lineage is explicit
-        finally:
-            set_default_lineage_config(previous)
+        program, proj = self._program()
+        engine = Engine(program, weather_db)
+        mappings = global_registry().counter(*MAPPINGS_COUNTER)
+        with use_config(lineage=False, cache=False):
+            before = mappings.total()
+            engine.output_of(proj)
+            assert mappings.total() == before
+        engine.invalidate()
+        with use_config(lineage=True, cache=False):
+            rows = engine.output_of(proj).rows
+            assert mappings.total() >= before + len(rows) > before
 
     def test_engine_forces_under_capture(self, weather_db):
         from repro.dataflow.engine import Engine
 
         program, proj = self._program()
-        engine = Engine(program, weather_db, lineage=True)
+        engine = Engine(program, weather_db)
         mappings = global_registry().counter(*MAPPINGS_COUNTER)
         before = mappings.total()
-        rows = engine.output_of(proj).rows
+        with use_config(lineage=True, cache=False):
+            rows = engine.output_of(proj).rows
         assert len(rows) > 0
         assert mappings.total() >= before + len(rows)
 

@@ -189,7 +189,7 @@ def test_concurrent_sampling_during_parallel_engine_renders():
     monotone (counters only go up) and every sample internally consistent."""
     from repro.core.scenarios import build_fig4_station_map
     from repro.dataflow.engine import EngineStats
-    from repro.dbms.plan_parallel import resolve_config, set_default_config
+    from repro.config import use_config
     from repro.obs.metrics import global_registry
 
     db = build_weather_database(extra_stations=20, every_days=60)
@@ -197,7 +197,6 @@ def test_concurrent_sampling_during_parallel_engine_renders():
     session = scenario.session
     session.engine.stats = EngineStats(global_registry())
     recorder = MetricsRecorder(global_registry(), capacity=512)
-    previous = set_default_config(resolve_config(workers=4))
     stop = threading.Event()
 
     def hammer_samples():
@@ -207,13 +206,13 @@ def test_concurrent_sampling_during_parallel_engine_renders():
     thread = threading.Thread(target=hammer_samples, daemon=True)
     thread.start()
     try:
-        for _ in range(6):
-            session.engine.invalidate()
-            scenario.window().render()
+        with use_config(workers=4, cache=True):
+            for _ in range(6):
+                session.engine.invalidate()
+                scenario.window().render()
     finally:
         stop.set()
         thread.join(timeout=10.0)
-        set_default_config(previous)
     recorder.sample()
     assert recorder.samples_taken > 0
     fires = recorder.series("engine.box.fires|_total")

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import threading
 
+from repro.config import configure_process, use_config
 from repro.obs import NULL_SPAN, Tracer, current_tracer, push_tracer, tracing
-from repro.obs.trace import install_from_env
 
 
 class TestSpans:
@@ -150,7 +150,7 @@ class TestInstallation:
     def test_global_tracer_tracks_env_activation(self):
         import os
 
-        expected = os.environ.get("REPRO_TRACE") == "1"
+        expected = os.environ.get("REPRO_TRACE", "") not in ("", "0")
         assert current_tracer().enabled is expected
 
     def test_push_tracer_scopes_and_restores(self):
@@ -180,10 +180,11 @@ class TestInstallation:
     def test_install_from_env(self):
         previous = current_tracer()
         fresh = Tracer(enabled=False)
-        with push_tracer(fresh):
-            assert install_from_env({}) is False
+        with push_tracer(fresh), use_config():
+            configure_process({})
             assert fresh.enabled is False
-            assert install_from_env({"REPRO_TRACE": "0"}) is False
-            assert install_from_env({"REPRO_TRACE": "1"}) is True
+            configure_process({"REPRO_TRACE": "0"})
+            assert fresh.enabled is False
+            configure_process({"REPRO_TRACE": "true"})
             assert fresh.enabled is True
         assert current_tracer() is previous

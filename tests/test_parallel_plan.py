@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import ExecConfig
 from repro.dbms import plan as P
 from repro.dbms.plan_parallel import (
-    ParallelConfig,
     parallelize_plan,
     plan_fingerprint,
 )
@@ -22,7 +22,7 @@ from repro.dbms.tuples import Schema
 NUMS = Schema([("n", "int"), ("label", "text")])
 
 # Small morsels so even modest inputs split into many partitions.
-CONFIG = ParallelConfig(workers=4, cache=True, morsel_size=64)
+CONFIG = ExecConfig(workers=4, cache=True, morsel_size=64)
 
 
 def num_rows(count: int) -> RowSet:

@@ -32,10 +32,9 @@ from repro.dataflow.boxes_extra import (
 from repro.dataflow.engine import Engine
 from repro.dataflow.graph import Program
 from repro.dbms.catalog import Database
+from repro.config import use_config
 from repro.dbms.plan_parallel import (
-    ParallelConfig,
     result_cache,
-    set_default_config,
 )
 from repro.dbms.relation import Table
 from repro.dbms.tuples import Schema
@@ -45,7 +44,8 @@ ROWS = 5_000
 FIELDS = ["station_id", "name", "state", "longitude", "latitude", "altitude"]
 NUMERIC = ["station_id", "longitude", "latitude", "altitude"]
 
-PARALLEL = ParallelConfig(workers=4, cache=True, morsel_size=256)
+PARALLEL = dict(workers=4, cache=True, morsel_size=256)
+SERIAL = dict(workers=1, cache=False)
 
 
 @pytest.fixture(scope="module")
@@ -119,13 +119,9 @@ def random_program(seed: int):
 
 
 def forced(db, program, box_id, *, parallel: bool, columnar: bool = False):
-    if parallel:
-        engine = Engine(program, db,    # inherits the installed default
-                        columnar=columnar)
-    else:
-        engine = Engine(program, db, workers=0, cache=False,
-                        columnar=columnar)
-    return tuple(engine.output_of(box_id, "out").rows.force())
+    with use_config(columnar=columnar, **(PARALLEL if parallel else SERIAL)):
+        engine = Engine(program, db)
+        return tuple(engine.output_of(box_id, "out").rows.force())
 
 
 def test_serial_and_parallel_agree_over_30_seeds(big_stations_db):
@@ -135,13 +131,9 @@ def test_serial_and_parallel_agree_over_30_seeds(big_stations_db):
         if check_program(program, big_stations_db).errors():
             continue    # generator produced a genuinely broken pipeline
         serial = forced(big_stations_db, program, last_box, parallel=False)
-        previous = set_default_config(PARALLEL)
-        try:
-            result_cache().clear()
-            cold = forced(big_stations_db, program, last_box, parallel=True)
-            warm = forced(big_stations_db, program, last_box, parallel=True)
-        finally:
-            set_default_config(previous)
+        result_cache().clear()
+        cold = forced(big_stations_db, program, last_box, parallel=True)
+        warm = forced(big_stations_db, program, last_box, parallel=True)
         assert cold == serial, f"seed {seed}: parallel-cold differs"
         assert warm == serial, f"seed {seed}: cache-served differs"
         compared += 1
@@ -171,15 +163,11 @@ def test_four_backends_agree_over_30_seeds(big_stations_db):
                             parallel=False)
             columnar = forced(big_stations_db, program, last_box,
                               parallel=False, columnar=True)
-            previous = set_default_config(PARALLEL)
-            try:
-                result_cache().clear()
-                parallel_columnar = forced(big_stations_db, program, last_box,
-                                           parallel=True, columnar=True)
-                warm = forced(big_stations_db, program, last_box,
-                              parallel=True, columnar=True)
-            finally:
-                set_default_config(previous)
+            result_cache().clear()
+            parallel_columnar = forced(big_stations_db, program, last_box,
+                                       parallel=True, columnar=True)
+            warm = forced(big_stations_db, program, last_box,
+                          parallel=True, columnar=True)
             assert columnar == serial, f"seed {seed}: columnar differs"
             assert parallel_columnar == serial, \
                 f"seed {seed}: parallel-columnar differs"

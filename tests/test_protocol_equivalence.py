@@ -22,12 +22,8 @@ import pytest
 from repro.analyze.checker import check_program
 from repro.dataflow.explain import explain_data
 from repro.dbms.catalog import Database
-from repro.dbms.columnar import ColumnarConfig, set_default_columnar_config
-from repro.dbms.plan_parallel import (
-    ParallelConfig,
-    result_cache,
-    set_default_config,
-)
+from repro.config import use_config
+from repro.dbms.plan_parallel import result_cache
 from repro.dbms.relation import Table
 from repro.dbms.tuples import Schema
 from repro.protocol import (
@@ -47,7 +43,7 @@ ROWS = 600
 FIELDS = ["station_id", "name", "state", "longitude", "latitude", "altitude"]
 NUMERIC = ["station_id", "longitude", "latitude", "altitude"]
 
-PARALLEL = ParallelConfig(workers=4, cache=True, morsel_size=128)
+PARALLEL = dict(workers=4, cache=True, morsel_size=128)
 
 
 @pytest.fixture(scope="module")
@@ -219,18 +215,14 @@ def test_local_vs_protocol_serial_backend(stations_db):
 
 
 def test_local_vs_protocol_parallel_backend(stations_db):
-    previous = set_default_config(PARALLEL)
     try:
-        result_cache().clear()
-        _run_equivalence(stations_db)
+        with use_config(**PARALLEL):
+            result_cache().clear()
+            _run_equivalence(stations_db)
     finally:
-        set_default_config(previous)
         result_cache().clear()
 
 
 def test_local_vs_protocol_columnar_backend(stations_db):
-    previous = set_default_columnar_config(ColumnarConfig())
-    try:
+    with use_config(columnar=True):
         _run_equivalence(stations_db)
-    finally:
-        set_default_columnar_config(previous)
