@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Any, Hashable, Iterable
 
 from repro.errors import ObservabilityError
@@ -76,6 +77,14 @@ def _label_key(label: Hashable | None) -> str:
     return str(label)
 
 
+def _by_label(values: dict[Hashable, Any]) -> dict[str, Any]:
+    """``values`` keyed by :func:`_label_key`, in label-key order."""
+    return dict(sorted(
+        [(_label_key(label), value) for label, value in values.items()],
+        key=itemgetter(0),
+    ))
+
+
 class Counter(_Metric):
     """A monotonically increasing count, broken down by label."""
 
@@ -114,12 +123,7 @@ class Counter(_Metric):
         return {
             "kind": self.kind,
             "total": self.total(),
-            "by_label": {
-                _label_key(label): value
-                for label, value in sorted(
-                    self.values.items(), key=lambda kv: _label_key(kv[0])
-                )
-            },
+            "by_label": _by_label(self.values),
         }
 
 
@@ -150,12 +154,7 @@ class Gauge(_Metric):
     def snapshot(self) -> dict[str, Any]:
         return {
             "kind": self.kind,
-            "by_label": {
-                _label_key(label): value
-                for label, value in sorted(
-                    self.values.items(), key=lambda kv: _label_key(kv[0])
-                )
-            },
+            "by_label": _by_label(self.values),
         }
 
 

@@ -165,8 +165,9 @@ class MetricsRecorder:
         self._clock = clock
         self._series: dict[str, TimeSeries] = {}
         self._kinds: dict[str, str] = {}  # metric name -> kind, as sampled
-        self._prev_counts: dict[str, float] = {}
-        self._derived_keys: dict[str, tuple[str, str]] = {}
+        #: counter series key -> [previous value, its series, delta series,
+        #: rate series (None until a sample has a positive interval)]
+        self._counters: dict[str, list[Any]] = {}
         self._prev_t: float | None = None
         self._origin: float | None = None
         self._lock = threading.Lock()
@@ -195,27 +196,33 @@ class MetricsRecorder:
                 self._origin = now
             rel = now - self._origin
             elapsed = None if self._prev_t is None else rel - self._prev_t
+            if elapsed is not None and elapsed <= 0:
+                elapsed = None
             get_series = self._get_series
-            prev_counts = self._prev_counts
-            derived = self._derived_keys
+            counters = self._counters
             for name, snap in snapshot.items():
                 kind = snap.get("kind", "counter")
                 self._kinds[name] = kind
                 is_counter = kind == "counter"
                 for key, value in _flatten_metric(name, snap).items():
-                    get_series(key).append(rel, value)
-                    if is_counter:
-                        previous = prev_counts.get(key)
-                        delta = value - previous if previous is not None \
-                            else value
-                        prev_counts[key] = value
-                        keys = derived.get(key)
-                        if keys is None:
-                            keys = derived[key] = (f"{key}|delta",
-                                                   f"{key}|rate")
-                        get_series(keys[0]).append(rel, delta)
-                        if elapsed is not None and elapsed > 0:
-                            get_series(keys[1]).append(rel, delta / elapsed)
+                    if not is_counter:
+                        get_series(key).append(rel, value)
+                        continue
+                    # One lookup per counter key finds all three of its
+                    # series; the first sample's delta is the value itself.
+                    state = counters.get(key)
+                    if state is None:
+                        state = counters[key] = [
+                            0, get_series(key), get_series(f"{key}|delta"),
+                            None]
+                    delta = value - state[0]
+                    state[0] = value
+                    state[1].append(rel, value)
+                    state[2].append(rel, delta)
+                    if elapsed is not None:
+                        if state[3] is None:
+                            state[3] = get_series(f"{key}|rate")
+                        state[3].append(rel, delta / elapsed)
             if self.tracer is not None:
                 for name, roll in _span_rollup(self.tracer).items():
                     self._get_series(f"span.{name}|count").append(
@@ -273,7 +280,7 @@ class MetricsRecorder:
         The recorder-side half of the session-cardinality fix: series keys
         are ``metric|label[|qualifier]``, so pruning matches on the label
         segment and also clears the counter delta/rate bookkeeping
-        (``_prev_counts`` / ``_derived_keys``) so a recycled label starts
+        (``_counters``) so a recycled label starts
         from a clean slate.  Returns the number of series removed.
         """
         wanted = str(label)
@@ -286,9 +293,8 @@ class MetricsRecorder:
             doomed = [key for key in self._series if matches(key)]
             for key in doomed:
                 del self._series[key]
-            for table in (self._prev_counts, self._derived_keys):
-                for key in [key for key in table if matches(key)]:
-                    del table[key]
+            for key in [key for key in self._counters if matches(key)]:
+                del self._counters[key]
         return len(doomed)
 
     # -- access -----------------------------------------------------------

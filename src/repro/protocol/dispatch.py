@@ -45,6 +45,7 @@ from repro.protocol.messages import (
     Why,
     Zoom,
 )
+from repro.viewer.viewer import RenderResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ui.session import Session
@@ -70,11 +71,13 @@ class FrameCache:
     global storage epoch, so any table mutation anywhere invalidates every
     cached frame — conservative but always correct.
 
-    Entries carry the frame's :class:`~repro.viewer.viewer.RenderResult`
-    alongside the encoded bytes: a hit restores it as the viewer's
-    ``last_result``, so pick/why/wormhole provenance resolves against the
-    display list of the frame the client is looking at, never the display
-    list of the last render that actually rasterized.
+    Entries carry the frame's display list and scene statistics, as a
+    :class:`~repro.viewer.viewer.RenderResult` with no canvas, alongside the
+    encoded bytes: a hit restores it as the viewer's ``last_result``, so
+    pick/why/wormhole provenance resolves against the display list of the
+    frame the client is looking at, never the display list of the last
+    render that actually rasterized.  The pixels are not kept: the encoded
+    bytes already hold them, and a 640x480 canvas is 0.9 MB per entry.
 
     In-process sessions leave ``CommandExecutor.frame_cache`` unset: local
     callers keep the engine-executing path (and its per-box statistics)
@@ -339,9 +342,10 @@ class CommandExecutor:
         hits = registry.counter("cache.hit").total() - hits_before
         misses = registry.counter("cache.miss").total() - misses_before
         if key is not None:
+            result = window.viewer.last_result
             self.frame_cache.put(
                 key, (canvas.width, canvas.height, data, canvas.draw_ops,
-                      window.viewer.last_result))
+                      RenderResult(None, result.items, result.stats)))
         return FrameReply(
             window=command.window,
             frame_seq=seq,

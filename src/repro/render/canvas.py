@@ -13,6 +13,7 @@ canvas bounds; drawing off-canvas is silently partial, never an error.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from repro.display.drawables import Color, resolve_color
 from repro.errors import DisplayError
 from repro.obs.trace import current_tracer
-from repro.render.font import CHAR_HEIGHT, CHAR_WIDTH, glyph_rows
+from repro.render.font import text_mask
 
 __all__ = ["Canvas", "WHITE", "BLACK"]
 
@@ -44,7 +45,22 @@ class Canvas:
         self.clear()
 
     def clear(self) -> None:
-        self.pixels[:, :] = self.background
+        self._fill(self.pixels, self.background)
+
+    @staticmethod
+    def _fill(region: np.ndarray, color: Color) -> None:
+        """Paint a (rows, columns, 3) view: set its first row, copy it down
+        (~60x faster than broadcasting the color over the stride-3 axis)."""
+        if region.size:
+            region[0] = color
+            region[1:] = region[0]
+
+    def _box(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
+        """The pixels of the half-open box [x0, x1) x [y0, y1), clipped."""
+        return self.pixels[
+            max(0, y0) : max(0, min(self.height, y1)),
+            max(0, x0) : max(0, min(self.width, x1)),
+        ]
 
     # ------------------------------------------------------------------
     # Pixel access
@@ -99,12 +115,7 @@ class Canvas:
                 self.pixels[y, x] = color
             return
         half = width // 2
-        x0 = max(0, x - half)
-        y0 = max(0, y - half)
-        x1 = min(self.width, x + half + 1)
-        y1 = min(self.height, y + half + 1)
-        if x0 < x1 and y0 < y1:
-            self.pixels[y0:y1, x0:x1] = color
+        self._fill(self._box(x - half, y - half, x + half + 1, y + half + 1), color)
 
     def draw_line(
         self, x0: float, y0: float, x1: float, y1: float, color: Color, width: int = 1
@@ -112,6 +123,14 @@ class Canvas:
         """Bresenham line with optional thickness."""
         self.draw_ops += 1
         ix0, iy0, ix1, iy1 = int(round(x0)), int(round(y0)), int(round(x1)), int(round(y1))
+        if ix0 == ix1 or iy0 == iy1:
+            # Axis-aligned: the line's thick points tile one box.
+            half = width // 2 if width > 1 else 0
+            self._fill(self._box(
+                min(ix0, ix1) - half, min(iy0, iy1) - half,
+                max(ix0, ix1) + half + 1, max(iy0, iy1) + half + 1,
+            ), color)
+            return
         dx = abs(ix1 - ix0)
         dy = -abs(iy1 - iy0)
         sx = 1 if ix0 < ix1 else -1
@@ -144,39 +163,20 @@ class Canvas:
         self.draw_ops += 1
         x0, x1 = min(x0, x1), max(x0, x1)
         y0, y1 = min(y0, y1), max(y0, y1)
-        xi0 = max(0, int(round(x0)))
-        yi0 = max(0, int(round(y0)))
-        xi1 = min(self.width, int(round(x1)) + 1)
-        yi1 = min(self.height, int(round(y1)) + 1)
-        if xi0 < xi1 and yi0 < yi1:
-            self.pixels[yi0:yi1, xi0:xi1] = color
+        self._fill(self._box(
+            int(round(x0)), int(round(y0)), int(round(x1)) + 1, int(round(y1)) + 1
+        ), color)
 
     def draw_circle(
         self, cx: float, cy: float, radius: float, color: Color, width: int = 1
     ) -> None:
-        """Midpoint circle."""
+        """Midpoint circle, stamped from a cached ring (see :func:`_ring`)."""
         self.draw_ops += 1
-        r = int(round(radius))
-        if r <= 0:
-            self._thick_point(int(round(cx)), int(round(cy)), color, width)
-            return
-        cxi, cyi = int(round(cx)), int(round(cy))
-        x, y = r, 0
-        err = 1 - r
-        while x >= y:
-            for px, py in (
-                (cxi + x, cyi + y), (cxi - x, cyi + y),
-                (cxi + x, cyi - y), (cxi - x, cyi - y),
-                (cxi + y, cyi + x), (cxi - y, cyi + x),
-                (cxi + y, cyi - x), (cxi - y, cyi - x),
-            ):
-                self._thick_point(px, py, color, width)
-            y += 1
-            if err < 0:
-                err += 2 * y + 1
-            else:
-                x -= 1
-                err += 2 * (y - x) + 1
+        dy, dx = _ring(max(0, int(round(radius))), width // 2 if width > 1 else 0)
+        ys = dy + int(round(cy))
+        xs = dx + int(round(cx))
+        inside = (ys >= 0) & (ys < self.height) & (xs >= 0) & (xs < self.width)
+        self.pixels[ys[inside], xs[inside]] = color
 
     def fill_circle(self, cx: float, cy: float, radius: float, color: Color) -> None:
         self.draw_ops += 1
@@ -231,22 +231,14 @@ class Canvas:
                     self.pixels[y, xi0 : xi1 + 1] = color
 
     def draw_text(self, x: float, y: float, text: str, color: Color) -> None:
-        """Paint ``text`` with its top-left corner at (x, y)."""
+        """Paint ``text`` with its top-left corner at (x, y): one masked,
+        clipped assignment of the string's cached glyph mask."""
         self.draw_ops += 1
-        cursor = int(round(x))
-        top = int(round(y))
-        for char in text:
-            rows = glyph_rows(char)
-            for row_index, row_bits in enumerate(rows):
-                py = top + row_index
-                if not 0 <= py < self.height:
-                    continue
-                for col in range(CHAR_WIDTH):
-                    if row_bits & (1 << (CHAR_WIDTH - 1 - col)):
-                        px = cursor + col
-                        if 0 <= px < self.width:
-                            self.pixels[py, px] = color
-            cursor += CHAR_WIDTH + 1
+        mask = text_mask(text)
+        left, top = int(round(x)), int(round(y))
+        region = self._box(left, top, left + mask.shape[1], top + mask.shape[0])
+        dy, dx = max(0, -top), max(0, -left)
+        region[mask[dy : dy + region.shape[0], dx : dx + region.shape[1]]] = color
 
     # ------------------------------------------------------------------
     # Composition and export
@@ -298,9 +290,8 @@ class Canvas:
             ">IIBBBBB", self.width, self.height, 8, 2, 0, 0, 0
         )
         # Each scanline gets filter byte 0 (None).
-        raw = b"".join(
-            b"\x00" + self.pixels[y].tobytes() for y in range(self.height)
-        )
+        raw = np.zeros((self.height, 1 + 3 * self.width), dtype=np.uint8)
+        raw[:, 1:] = self.pixels.reshape(self.height, -1)
         return (
             b"\x89PNG\r\n\x1a\n"
             + chunk(b"IHDR", header)
@@ -340,9 +331,35 @@ class Canvas:
         return "\n".join(lines)
 
     def copy(self) -> "Canvas":
-        clone = Canvas(self.width, self.height, self.background)
-        clone.pixels[:, :] = self.pixels
+        clone = Canvas.__new__(Canvas)
+        clone.__dict__.update(self.__dict__, pixels=self.pixels.copy(), draw_ops=0)
         return clone
 
     def __repr__(self) -> str:
         return f"Canvas({self.width}x{self.height})"
+
+
+@lru_cache(maxsize=64)
+def _ring(radius: int, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel offsets (dy, dx) of a midpoint circle whose points are squares
+    reaching ``half`` pixels each way.  Sparse, not a dense mask: world-unit
+    circles can outgrow the canvas, and a mask costs radius squared."""
+    points = []
+    x, y = radius, 0
+    err = 1 - radius
+    while x >= y:
+        points += [(y, x), (y, -x), (-y, x), (-y, -x),
+                   (x, y), (x, -y), (-x, y), (-x, -y)]
+        y += 1
+        if err < 0:
+            err += 2 * y + 1
+        else:
+            x -= 1
+            err += 2 * (y - x) + 1
+    centres = np.array(points)
+    square = np.arange(-half, half + 1)
+    dy, dx = np.broadcast_arrays(centres[:, 0, None, None] + square[:, None],
+                                 centres[:, 1, None, None] + square[None, :])
+    offsets = np.unique(np.stack([dy.ravel(), dx.ravel()]), axis=1)
+    offsets.setflags(write=False)
+    return offsets[0], offsets[1]

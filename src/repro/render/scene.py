@@ -279,7 +279,6 @@ def _render_entry(
     """
     relation = entry.relation
     width, height = view.viewport
-    scale = view.scale
     if cull:
         fast_items = _try_fast_scatter(
             canvas, entry, view, resolver, depth, stats
@@ -307,38 +306,50 @@ def _render_entry(
         ):
             stats.culled_by_viewport += 1
             continue
-        drawables = relation.display_of(row_view)
-        painted_any = False
-        for drawable in drawables:
-            bbox = drawable.bbox(px, py, scale)
-            # One pixel of slack: rasterization rounds coordinates, so a
-            # bbox ending fractionally off-canvas can still touch pixels.
-            if cull and (
-                bbox[2] < -1.0 or bbox[0] > width + 1.0
-                or bbox[3] < -1.0 or bbox[1] > height + 1.0
-            ):
-                continue
-            drawable.paint(canvas, px, py, scale)
-            stats.drawables_painted += 1
-            painted_any = True
-            if isinstance(drawable, ViewerDrawable):
-                _render_wormhole(
-                    canvas, drawable, px, py, scale, resolver, depth, stats
-                )
-            items.append(
-                RenderedItem(
-                    bbox,
-                    relation.name,
-                    relation.source_table,
-                    row_view.base,
-                    index,
-                    drawable.kind,
-                    drawable,
-                )
-            )
-        if painted_any:
-            stats.tuples_rendered += 1
+        _paint_tuple(canvas, relation, row_view.base, index,
+                     relation.display_of(row_view), px, py, view, cull,
+                     resolver, depth, stats, items)
     return items
+
+
+def _paint_tuple(
+    canvas: Canvas,
+    relation: DisplayableRelation,
+    row: Tuple,
+    index: int,
+    drawables,
+    px: float,
+    py: float,
+    view: ViewState,
+    clip: bool,
+    resolver: CanvasResolver | None,
+    depth: int,
+    stats: SceneStats,
+    items: list[RenderedItem],
+) -> None:
+    """Paint one tuple's drawables anchored at screen (px, py), appending a
+    display-list item per painted drawable — the drawing step all three
+    culling paths share.  ``clip`` skips drawables wholly off the canvas."""
+    width, height = view.viewport
+    scale = view.scale
+    painted_any = False
+    for drawable in drawables:
+        bbox = drawable.bbox(px, py, scale)
+        # One pixel of slack: rasterization rounds coordinates, so a
+        # bbox ending fractionally off-canvas can still touch pixels.
+        if clip and (bbox[2] < -1.0 or bbox[0] > width + 1.0
+                     or bbox[3] < -1.0 or bbox[1] > height + 1.0):
+            continue
+        drawable.paint(canvas, px, py, scale)
+        stats.drawables_painted += 1
+        painted_any = True
+        if isinstance(drawable, ViewerDrawable):
+            _render_wormhole(canvas, drawable, px, py, scale, resolver, depth,
+                             stats)
+        items.append(RenderedItem(bbox, relation.name, relation.source_table,
+                                  row, index, drawable.kind, drawable))
+    if painted_any:
+        stats.tuples_rendered += 1
 
 
 def _stored_numeric_column(relation: DisplayableRelation, attr: str) -> str | None:
@@ -441,35 +452,9 @@ def _try_fast_scatter(
     with tracer.span("render.draw", method="fast_scatter",
                      relation=relation.name) as draw_span:
         for index in indices:
-            anchor_x = float(px[index])
-            anchor_y = float(py[index])
-            painted_any = False
-            for drawable in drawables:
-                bbox = drawable.bbox(anchor_x, anchor_y, scale)
-                if (bbox[2] < -1.0 or bbox[0] > width + 1.0
-                        or bbox[3] < -1.0 or bbox[1] > height + 1.0):
-                    continue
-                drawable.paint(canvas, anchor_x, anchor_y, scale)
-                stats.drawables_painted += 1
-                painted_any = True
-                if isinstance(drawable, ViewerDrawable):
-                    _render_wormhole(
-                        canvas, drawable, anchor_x, anchor_y, scale,
-                        resolver, depth, stats,
-                    )
-                items.append(
-                    RenderedItem(
-                        bbox,
-                        relation.name,
-                        relation.source_table,
-                        rows[int(index)],
-                        int(index),
-                        drawable.kind,
-                        drawable,
-                    )
-                )
-            if painted_any:
-                stats.tuples_rendered += 1
+            _paint_tuple(canvas, relation, rows[int(index)], int(index),
+                         drawables, float(px[index]), float(py[index]), view,
+                         True, resolver, depth, stats, items)
         draw_span.set(items=len(items))
     return items
 
@@ -650,34 +635,9 @@ def _try_plan_cull(
             anchor_x, anchor_y = view.to_screen(
                 location[0] + offset_x, location[1] + offset_y
             )
-            drawables = relation.display_of(row_view)
-            painted_any = False
-            for drawable in drawables:
-                bbox = drawable.bbox(anchor_x, anchor_y, scale)
-                if (bbox[2] < -1.0 or bbox[0] > width + 1.0
-                        or bbox[3] < -1.0 or bbox[1] > height + 1.0):
-                    continue
-                drawable.paint(canvas, anchor_x, anchor_y, scale)
-                stats.drawables_painted += 1
-                painted_any = True
-                if isinstance(drawable, ViewerDrawable):
-                    _render_wormhole(
-                        canvas, drawable, anchor_x, anchor_y, scale,
-                        resolver, depth, stats,
-                    )
-                items.append(
-                    RenderedItem(
-                        bbox,
-                        relation.name,
-                        relation.source_table,
-                        row,
-                        index,
-                        drawable.kind,
-                        drawable,
-                    )
-                )
-            if painted_any:
-                stats.tuples_rendered += 1
+            _paint_tuple(canvas, relation, row, index,
+                         relation.display_of(row_view), anchor_x, anchor_y,
+                         view, True, resolver, depth, stats, items)
         draw_span.set(items=len(items))
     return items
 

@@ -92,6 +92,8 @@ register_box_class(ViewerBox)
 class RenderResult:
     """One rendered frame: the canvas, per-member display lists, statistics.
 
+    ``canvas`` is None on a result the server's frame cache restores: it
+    keeps only the display list (for pick/why) beside the encoded frame.
     ``tracer`` is set when the frame was rendered with ``render(trace=...)``
     — it holds the frame's span tree, ready for
     :func:`repro.obs.chrome_trace` / :func:`repro.obs.render_tree`.
@@ -99,7 +101,7 @@ class RenderResult:
 
     def __init__(
         self,
-        canvas: Canvas,
+        canvas: Canvas | None,
         items: dict[str, list[RenderedItem]],
         stats: SceneStats,
         tracer: "Tracer | None" = None,

@@ -414,6 +414,32 @@ def test_frame_cache_hit_restores_pick_provenance(cached_map_session):
     assert why_doc["mark"]["tuple_index"] == first.tuple_index
 
 
+def test_frame_cache_entries_hold_no_pixels(cached_map_session):
+    # A cached entry keeps the encoded bytes and the display list, never
+    # the canvas: pick after a hit still resolves against the served frame.
+    session = cached_map_session
+    frame = session.render_frame("map")
+    viewer = session.window("map").viewer
+    assert viewer.last_result.canvas is not None  # the live render keeps it
+    ((*_, result),) = session.protocol.frame_cache._entries.values()
+    assert result.canvas is None
+    assert result.items == viewer.last_result.items
+    item = result.all_items()[0]
+    cx = (item.bbox[0] + item.bbox[2]) / 2
+    cy = (item.bbox[1] + item.bbox[3]) / 2
+
+    session.pan_to("map", -40.0, 31.0)
+    session.render_frame("map")
+    session.pan_to("map", -91.8, 31.0)
+    served = session.render_frame("map")
+    assert served.render_ms == 0.0
+    assert served.data_bytes() == frame.data_bytes()
+    assert viewer.last_result is result
+    picked = session.pick("map", cx, cy)
+    assert picked is not None
+    assert picked.tuple_index == item.tuple_index
+
+
 def test_frames_with_live_magnifiers_are_not_cached(cached_map_session):
     # Magnifier overlays are composited into the encoded frame but are
     # session-local furniture outside the cache key — such frames must
